@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"time"
 )
 
 // chromeEvent is one Chrome trace_event. The exporter emits complete
@@ -92,17 +94,14 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 //
 // It returns the number of validated events.
 func ValidateChromeTrace(data []byte) (int, error) {
-	var doc chromeTrace
-	if err := json.Unmarshal(data, &doc); err != nil {
-		// Accept the bare-array spelling of the format.
-		if aerr := json.Unmarshal(data, &doc.TraceEvents); aerr != nil {
-			return 0, fmt.Errorf("obs: trace is neither a trace object nor an event array: %v", err)
-		}
+	events, err := parseChromeTrace(data)
+	if err != nil {
+		return 0, err
 	}
 	type track struct{ pid, tid uint64 }
 	byTrack := map[track][]chromeEvent{}
 	lastTS := -1.0
-	for i, ev := range doc.TraceEvents {
+	for i, ev := range events {
 		switch ev.Phase {
 		case "X", "B", "E", "M", "I", "C":
 		default:
@@ -178,5 +177,134 @@ func ValidateChromeTrace(data []byte) (int, error) {
 			}
 		}
 	}
-	return len(doc.TraceEvents), nil
+	return len(events), nil
+}
+
+// parseChromeTrace decodes either spelling of the format: a trace object
+// with a traceEvents array, or the bare event array.
+func parseChromeTrace(data []byte) ([]chromeEvent, error) {
+	var doc chromeTrace
+	if err := json.Unmarshal(data, &doc); err != nil {
+		if aerr := json.Unmarshal(data, &doc.TraceEvents); aerr != nil {
+			return nil, fmt.Errorf("obs: trace is neither a trace object nor an event array: %v", err)
+		}
+	}
+	return doc.TraceEvents, nil
+}
+
+// SpanTime is one span name's line in a trace summary.
+type SpanTime struct {
+	Name  string
+	Count int
+	Self  time.Duration // summed duration minus what direct children cover
+	Total time.Duration // summed duration
+}
+
+// TraceSummary attributes a trace's time to span names.
+type TraceSummary struct {
+	Wall  time.Duration // first span start to last span end
+	Spans []SpanTime    // largest self time first, then by name
+}
+
+// SummarizeChromeTrace reads the complete ("X") events of a trace and
+// sums, per span name, the spans' durations and self times. A span's
+// self time is its duration minus the part of it the union of its
+// direct children covers. Children are linked by the span_id and
+// parent_id args WriteChromeTrace records, so a child on another track
+// (a worker's evaluation under a sweep) counts too; an event without a
+// known parent is a root. Spans running concurrently on several tracks
+// can make the self times add up to more than the wall time.
+func SummarizeChromeTrace(data []byte) (TraceSummary, error) {
+	events, err := parseChromeTrace(data)
+	if err != nil {
+		return TraceSummary{}, err
+	}
+	var spans []chromeEvent
+	byID := map[uint64]int{}
+	for _, ev := range events {
+		if ev.Phase != "X" {
+			continue
+		}
+		if id, ok := argID(ev.Args, "span_id"); ok {
+			byID[id] = len(spans)
+		}
+		spans = append(spans, ev)
+	}
+	kids := make([][]int, len(spans))
+	for i, ev := range spans {
+		if pid, ok := argID(ev.Args, "parent_id"); ok {
+			if p, ok := byID[pid]; ok && p != i {
+				kids[p] = append(kids[p], i)
+			}
+		}
+	}
+
+	var sum TraceSummary
+	index := map[string]int{}
+	var first, last float64
+	for i, ev := range spans {
+		if i == 0 || ev.TS < first {
+			first = ev.TS
+		}
+		last = max(last, ev.TS+ev.Dur)
+		k, ok := index[ev.Name]
+		if !ok {
+			k = len(sum.Spans)
+			index[ev.Name] = k
+			sum.Spans = append(sum.Spans, SpanTime{Name: ev.Name})
+		}
+		st := &sum.Spans[k]
+		st.Count++
+		st.Total += micros(ev.Dur)
+		st.Self += micros(ev.Dur - coveredMicros(ev, kids[i], spans))
+	}
+	if len(spans) > 0 {
+		sum.Wall = micros(last - first)
+	}
+	sort.SliceStable(sum.Spans, func(i, j int) bool {
+		if sum.Spans[i].Self != sum.Spans[j].Self {
+			return sum.Spans[i].Self > sum.Spans[j].Self
+		}
+		return sum.Spans[i].Name < sum.Spans[j].Name
+	})
+	return sum, nil
+}
+
+// coveredMicros returns how many microseconds of parent the union of the
+// given child spans covers.
+func coveredMicros(parent chromeEvent, kids []int, spans []chromeEvent) float64 {
+	type interval struct{ lo, hi float64 }
+	ivs := make([]interval, 0, len(kids))
+	for _, k := range kids {
+		lo := max(spans[k].TS, parent.TS)
+		hi := min(spans[k].TS+spans[k].Dur, parent.TS+parent.Dur)
+		if hi > lo {
+			ivs = append(ivs, interval{lo, hi})
+		}
+	}
+	sort.Slice(ivs, func(i, j int) bool { return ivs[i].lo < ivs[j].lo })
+	var sum float64
+	reach := parent.TS
+	for _, v := range ivs {
+		if lo := max(v.lo, reach); v.hi > lo {
+			sum += v.hi - lo
+		}
+		reach = max(reach, v.hi)
+	}
+	return sum
+}
+
+// argID reads a span or parent ID from an event's args; JSON numbers
+// decode as float64.
+func argID(args map[string]any, key string) (uint64, bool) {
+	v, ok := args[key].(float64)
+	if !ok || v <= 0 {
+		return 0, false
+	}
+	return uint64(v), true
+}
+
+// micros converts trace-event microseconds to a Duration.
+func micros(us float64) time.Duration {
+	return time.Duration(math.Round(us * 1e3))
 }

@@ -131,11 +131,19 @@ type mshrFile struct {
 }
 
 func newMSHRFile(n int) *mshrFile {
-	return &mshrFile{max: n}
+	m := &mshrFile{}
+	m.reset(n)
+	return m
 }
 
-// reset empties the file (keeping its backing arrays) and re-sizes it.
+// reset empties the file and re-sizes it, keeping its backing arrays
+// when they can hold n entries. The arrays are sized up front so that
+// add never grows them.
 func (m *mshrFile) reset(n int) {
+	if cap(m.lines) < n {
+		m.lines = make([]uint64, 0, n)
+		m.ready = make([]uint64, 0, n)
+	}
 	m.lines = m.lines[:0]
 	m.ready = m.ready[:0]
 	m.max = n

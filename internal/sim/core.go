@@ -33,6 +33,10 @@ import (
 
 const farFuture = math.MaxUint64 / 2
 
+// histLen is the length of the completion-time history; seq%histLen
+// indexes it.
+const histLen = 2048
+
 // Result summarises one simulated run (or epoch).
 type Result struct {
 	Cycles  uint64
@@ -72,7 +76,13 @@ type entry struct {
 	dep1   uint64 // absolute producer seq; 0 = none
 	dep2   uint64
 	finish uint64 // cycle the result is available; farFuture until issued
-	issued bool
+}
+
+// storeRef is one in-window store in the store ring: its sequence
+// number and the 8-byte word it writes.
+type storeRef struct {
+	seq  uint64
+	word uint64
 }
 
 type fetchedInstr struct {
@@ -142,9 +152,20 @@ type Core struct {
 	winCount int
 	memQUsed int
 
+	// pending holds the window slots of the unissued entries, oldest
+	// first. Dispatch appends to it; issue walks it and compacts it in
+	// place, so a cycle costs the unissued entries, not the window.
+	pending []int
+
+	// Store ring: the in-window stores, oldest first. Dispatch pushes,
+	// retire pops, and store-to-load forwarding scans only these.
+	stores  []storeRef
+	stHead  int
+	stCount int
+
 	// Completion-time history, indexed by seq. Large enough to cover any
 	// dependency distance plus the window.
-	hist [2048]uint64
+	hist [histLen]uint64
 
 	// Functional-unit non-pipelined busy tracking.
 	intBusyUntil []uint64
@@ -186,10 +207,11 @@ func New(cfg config.Proc, gen Source) (*Core, error) {
 // Reset reinitialises the core in place for a (possibly different)
 // configuration and trace source, producing a core whose subsequent
 // behaviour is bit-identical to a freshly constructed one. Buffers are
-// reused whenever their shape is unchanged — the instruction window,
-// functional-unit trackers, fetch ring, caches, MSHR files and branch
-// predictor all keep their allocations across evaluations of different
-// applications and configurations — so pooled cores make steady-state
+// reused whenever they are large enough (the instruction window, pending
+// list, store ring and fetch ring) or their shape is unchanged (the
+// functional-unit trackers, caches, MSHR files and branch predictor), so
+// they keep their allocations across evaluations of different
+// applications and configurations and pooled cores make steady-state
 // evaluation allocation-free. Observability counters attached with
 // Instrument survive a Reset (re-attach to change them).
 func (c *Core) Reset(cfg config.Proc, gen Source) error {
@@ -213,19 +235,17 @@ func (c *Core) Reset(cfg config.Proc, gen Source) error {
 	clear(c.hist[:]) // everything "already finished" before the run
 
 	c.fetchQCap = cfg.FetchWidth * (cfg.FrontLatency + 2)
-	if cap(c.fq) < c.fetchQCap {
-		c.fq = make([]fetchedInstr, c.fetchQCap)
-	}
-	c.fq = c.fq[:c.fetchQCap]
+	c.fq = resize(c.fq, c.fetchQCap)
 	c.fqHead, c.fqLen = 0, 0
+	c.win = resize(c.win, cfg.WindowSize)
+	c.pending = resize(c.pending, cfg.WindowSize)[:0]
+	c.stores = resize(c.stores, cfg.WindowSize)
+	c.stHead, c.stCount = 0, 0
 
 	if c.bpred == nil || old.BPredBytes != cfg.BPredBytes || old.RASEntries != cfg.RASEntries {
 		c.bpred = NewBPred(cfg.BPredBytes, cfg.RASEntries)
 	} else {
 		c.bpred.Reset()
-	}
-	if len(c.win) != cfg.WindowSize {
-		c.win = make([]entry, cfg.WindowSize)
 	}
 	if len(c.intBusyUntil) != cfg.IntALUs {
 		c.intBusyUntil = make([]uint64, cfg.IntALUs)
@@ -253,6 +273,15 @@ func (c *Core) Reset(cfg config.Proc, gen Source) error {
 	c.l2Cycles = uint64(math.Ceil(cfg.L2.HitLatencySec * cfg.FreqHz))
 	c.memCycles = uint64(math.Ceil(cfg.MemLatencySec * cfg.FreqHz))
 	return nil
+}
+
+// resize returns s resliced to length n, reallocating only when its
+// capacity is too small.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // resetCache reuses c when the geometry is unchanged, else builds a
@@ -322,16 +351,87 @@ func (c *Core) Run(n uint64) Result {
 	return res
 }
 
-// step advances the core by one cycle.
+// step advances the core by one cycle and, if that cycle changed no
+// state, on past every following cycle that could not change any either
+// (see skipIdle). A cycle changes state when it retires, issues,
+// dispatches or fetches an instruction, or when fetch blocks, unblocks or
+// stalls; the redirect after a mispredicted branch resolves moves no
+// counter, so fetchBlocked and fetchStallTo are compared directly.
 //
 //ramp:hot
 func (c *Core) step() {
+	work := c.c.winRetire + c.c.winIssue + c.c.winDispatch + c.c.fetched
+	blocked, stallTo := c.fetchBlocked, c.fetchStallTo
 	c.retire()
 	c.issue()
 	c.dispatch()
 	c.fetch()
 	c.c.occupancySum += uint64(c.winCount)
 	c.cycle++
+	if work == c.c.winRetire+c.c.winIssue+c.c.winDispatch+c.c.fetched &&
+		blocked == c.fetchBlocked && stallTo == c.fetchStallTo {
+		c.skipIdle()
+	}
+}
+
+// skipIdle fast-forwards the clock over cycles in which no stage can act.
+// It runs after a cycle that changed no state. With the state frozen, a
+// stage's decisions depend on the clock only through comparisons against
+// the cycles gathered below: the head's finish (retire), the pending
+// entries' operand-ready cycles, the functional units' busy-until cycles
+// and the L1D MSHR fills (issue), the fetch-queue head's arrival
+// (dispatch), and the fetch stall and blocking branch's finish (fetch).
+// Every cycle before the earliest of them would repeat the idle cycle
+// exactly, so the clock jumps there and the window occupancy is credited
+// for the cycles skipped. Results are bit-identical to stepping.
+//
+// The one effect an idle cycle has is pruning completed L1D MSHRs when a
+// load finds the file full. Pruning is idempotent and every outstanding
+// fill bounds the jump, so no fill completes inside a skipped span and
+// the next executed cycle prunes exactly what the skipped ones would
+// have. When nothing is pending at all the core is deadlocked; it then
+// steps normally, so Run's forward-progress guard still fires.
+//
+//ramp:hot
+func (c *Core) skipIdle() {
+	now := c.cycle
+	next := uint64(farFuture)
+	if c.winCount > 0 {
+		next = earliest(now, c.win[c.winHead].finish, next)
+	}
+	for _, slot := range c.pending {
+		next = earliest(now, c.readyAt(&c.win[slot]), next)
+	}
+	for _, b := range c.intBusyUntil {
+		next = earliest(now, b, next)
+	}
+	for _, b := range c.fpBusyUntil {
+		next = earliest(now, b, next)
+	}
+	for _, r := range c.dMSHR.ready {
+		next = earliest(now, r, next)
+	}
+	if c.fqLen > 0 {
+		next = earliest(now, c.fq[c.fqHead].availAt, next)
+	}
+	next = earliest(now, c.fetchStallTo, next)
+	if c.fetchBlocked != 0 {
+		next = earliest(now, c.hist[c.fetchBlocked%histLen], next)
+	}
+	if next > now && next < farFuture {
+		c.c.occupancySum += uint64(c.winCount) * (next - now)
+		c.cycle = next
+	}
+}
+
+// earliest returns t if it lies in [now, next), else next.
+//
+//ramp:hot
+func earliest(now, t, next uint64) uint64 {
+	if t >= now && t < next {
+		return t
+	}
+	return next
 }
 
 // ---- Retire ----
@@ -340,11 +440,15 @@ func (c *Core) step() {
 func (c *Core) retire() {
 	for k := 0; k < c.cfg.RetireWidth && c.winCount > 0; k++ {
 		e := &c.win[c.winHead]
-		if !e.issued || e.finish > c.cycle {
+		if e.finish > c.cycle { // unissued entries finish at farFuture
 			return
 		}
 		if e.instr.Op.IsMem() {
 			c.memQUsed--
+		}
+		if e.instr.Op == trace.Store {
+			c.stHead = (c.stHead + 1) % len(c.stores)
+			c.stCount--
 		}
 		if e.instr.Op.IsFP() {
 			c.c.fpRetired++
@@ -358,95 +462,120 @@ func (c *Core) retire() {
 
 // ---- Issue ----
 
-//ramp:hot
-func (c *Core) issue() {
-	intSlots := c.freeUnits(c.intBusyUntil)
-	fpSlots := c.freeUnits(c.fpBusyUntil)
-	aguSlots := c.cfg.AGUs
-	dPorts := c.cfg.L1D.Ports
-
-	for k := 0; k < c.winCount; k++ {
-		if intSlots == 0 && fpSlots == 0 && (aguSlots == 0 || dPorts == 0) {
-			return
-		}
-		idx := (c.winHead + k) % len(c.win)
-		e := &c.win[idx]
-		if e.issued {
-			continue
-		}
-		if !c.depDone(e.dep1) || !c.depDone(e.dep2) {
-			continue
-		}
-		op := e.instr.Op
-		switch {
-		case op == trace.Load || op == trace.Store:
-			if aguSlots == 0 || dPorts == 0 {
-				continue
-			}
-			lat, ok := c.memLatency(e)
-			if !ok {
-				continue // MSHRs full; retry next cycle
-			}
-			aguSlots--
-			dPorts--
-			c.c.aguOps++
-			c.c.lsqOps++
-			c.c.l1dAccesses++
-			c.c.intRFReads += 2
-			c.complete(e, c.cycle+lat)
-			if op == trace.Load {
-				c.c.intRFWrites++
-			}
-		case op.IsFP():
-			if fpSlots == 0 {
-				continue
-			}
-			fpSlots--
-			c.c.fpOps++
-			c.c.fpRFReads += 2
-			c.c.fpRFWrites++
-			lat := uint64(c.cfg.FPLat)
-			if op == trace.FPDiv {
-				lat = uint64(c.cfg.FPDivLat)
-				c.occupyUnit(c.fpBusyUntil, c.cycle+lat)
-			}
-			c.complete(e, c.cycle+lat)
-		default: // integer ALU ops and branches
-			if intSlots == 0 {
-				continue
-			}
-			intSlots--
-			c.c.intOps++
-			c.c.intRFReads += 2
-			lat := uint64(c.cfg.IntAddLat)
-			switch op {
-			case trace.IntMul:
-				lat = uint64(c.cfg.IntMulLat)
-			case trace.IntDiv:
-				lat = uint64(c.cfg.IntDivLat)
-				c.occupyUnit(c.intBusyUntil, c.cycle+lat)
-			}
-			if !op.IsBranch() {
-				c.c.intRFWrites++
-			}
-			c.complete(e, c.cycle+lat)
-		}
-	}
+// issueSlots counts the issue resources still free this cycle.
+type issueSlots struct {
+	intALU, fpu, agu, dPorts int
 }
 
-// depDone reports whether the producer with sequence number d (0 = no
-// dependence) has its result available this cycle.
-func (c *Core) depDone(d uint64) bool {
-	if d == 0 {
-		return true
+// issue walks the pending list oldest first, issuing every entry whose
+// operands are ready and whose resources are free, and compacts the
+// entries left behind in place.
+//
+//ramp:hot
+func (c *Core) issue() {
+	s := issueSlots{
+		intALU: c.freeUnits(c.intBusyUntil),
+		fpu:    c.freeUnits(c.fpBusyUntil),
+		agu:    c.cfg.AGUs,
+		dPorts: c.cfg.L1D.Ports,
 	}
-	return c.hist[d%uint64(len(c.hist))] <= c.cycle
+	p := c.pending
+	kept := 0
+	for i, slot := range p {
+		if s.intALU == 0 && s.fpu == 0 && (s.agu == 0 || s.dPorts == 0) {
+			kept += copy(p[kept:], p[i:])
+			break
+		}
+		e := &c.win[slot]
+		if c.readyAt(e) > c.cycle || !c.issueOne(e, &s) {
+			p[kept] = slot
+			kept++
+		}
+	}
+	c.pending = p[:kept]
+}
+
+// readyAt returns the cycle e's operands are available: the later of its
+// producers' finish cycles (farFuture while one is unissued), or 0 when
+// it has none.
+//
+//ramp:hot
+func (c *Core) readyAt(e *entry) uint64 {
+	var t uint64
+	if e.dep1 != 0 {
+		t = c.hist[e.dep1%histLen]
+	}
+	if e.dep2 != 0 {
+		t = max(t, c.hist[e.dep2%histLen])
+	}
+	return t
+}
+
+// issueOne issues the operand-ready entry e if a unit of its class is
+// free, taking the unit from s, and reports whether it did.
+//
+//ramp:hot
+func (c *Core) issueOne(e *entry, s *issueSlots) bool {
+	op := e.instr.Op
+	switch {
+	case op == trace.Load || op == trace.Store:
+		if s.agu == 0 || s.dPorts == 0 {
+			return false
+		}
+		lat, ok := c.memLatency(e)
+		if !ok {
+			return false // MSHRs full; retry next cycle
+		}
+		s.agu--
+		s.dPorts--
+		c.c.aguOps++
+		c.c.lsqOps++
+		c.c.l1dAccesses++
+		c.c.intRFReads += 2
+		c.complete(e, c.cycle+lat)
+		if op == trace.Load {
+			c.c.intRFWrites++
+		}
+	case op.IsFP():
+		if s.fpu == 0 {
+			return false
+		}
+		s.fpu--
+		c.c.fpOps++
+		c.c.fpRFReads += 2
+		c.c.fpRFWrites++
+		lat := uint64(c.cfg.FPLat)
+		if op == trace.FPDiv {
+			lat = uint64(c.cfg.FPDivLat)
+			c.occupyUnit(c.fpBusyUntil, c.cycle+lat)
+		}
+		c.complete(e, c.cycle+lat)
+	default: // integer ALU ops and branches
+		if s.intALU == 0 {
+			return false
+		}
+		s.intALU--
+		c.c.intOps++
+		c.c.intRFReads += 2
+		lat := uint64(c.cfg.IntAddLat)
+		switch op {
+		case trace.IntMul:
+			lat = uint64(c.cfg.IntMulLat)
+		case trace.IntDiv:
+			lat = uint64(c.cfg.IntDivLat)
+			c.occupyUnit(c.intBusyUntil, c.cycle+lat)
+		}
+		if !op.IsBranch() {
+			c.c.intRFWrites++
+		}
+		c.complete(e, c.cycle+lat)
+	}
+	return true
 }
 
 func (c *Core) complete(e *entry, finish uint64) {
-	e.issued = true
 	e.finish = finish
-	c.hist[e.seq%uint64(len(c.hist))] = finish
+	c.hist[e.seq%histLen] = finish
 	c.c.winIssue++
 }
 
@@ -516,19 +645,22 @@ func (c *Core) memLatency(e *entry) (uint64, bool) {
 	return missLat + hitLat, true
 }
 
-// forwardFromStore scans older window entries for an in-flight store to
-// the same 8-byte word.
+// forwardFromStore reports whether a store older than load and still in
+// the window writes the same 8-byte word.
+//
+//ramp:hot
 func (c *Core) forwardFromStore(load *entry) bool {
 	word := load.instr.Addr &^ 7
-	// Scan backwards from the load towards the window head.
-	for k := 0; k < c.winCount; k++ {
-		idx := (c.winHead + k) % len(c.win)
-		e := &c.win[idx]
-		if e.seq >= load.seq {
+	for k, i := 0, c.stHead; k < c.stCount; k++ {
+		st := &c.stores[i]
+		if st.seq >= load.seq {
 			break
 		}
-		if e.instr.Op == trace.Store && e.instr.Addr&^7 == word {
+		if st.word == word {
 			return true
+		}
+		if i++; i == len(c.stores) {
+			i = 0
 		}
 	}
 	return false
@@ -549,24 +681,27 @@ func (c *Core) dispatch() {
 		if f.instr.Op.IsMem() && c.memQUsed >= c.cfg.MemQueueSize {
 			return
 		}
-		e := entry{
-			instr:  f.instr,
-			seq:    f.seq,
-			finish: farFuture,
-		}
+		idx := (c.winHead + c.winCount) % len(c.win)
+		e := &c.win[idx]
+		*e = entry{instr: f.instr, seq: f.seq, finish: farFuture}
 		if d := f.instr.Dep1; d > 0 && uint64(d) < e.seq {
 			e.dep1 = e.seq - uint64(d)
 		}
 		if d := f.instr.Dep2; d > 0 && uint64(d) < e.seq {
 			e.dep2 = e.seq - uint64(d)
 		}
-		c.hist[e.seq%uint64(len(c.hist))] = farFuture
-		idx := (c.winHead + c.winCount) % len(c.win)
-		c.win[idx] = e
+		c.hist[e.seq%histLen] = farFuture
 		c.winCount++
+		n := len(c.pending)
+		c.pending = c.pending[:n+1]
+		c.pending[n] = idx
 		if f.instr.Op.IsMem() {
 			c.memQUsed++
 			c.c.lsqOps++
+		}
+		if f.instr.Op == trace.Store {
+			c.stores[(c.stHead+c.stCount)%len(c.stores)] = storeRef{seq: e.seq, word: f.instr.Addr &^ 7}
+			c.stCount++
 		}
 		c.c.winDispatch++
 		c.fqHead = (c.fqHead + 1) % len(c.fq)
@@ -588,7 +723,7 @@ func (c *Core) fetch() {
 		return
 	}
 	if c.fetchBlocked != 0 {
-		fin := c.hist[c.fetchBlocked%uint64(len(c.hist))]
+		fin := c.hist[c.fetchBlocked%histLen]
 		if fin > c.cycle {
 			return
 		}
@@ -610,7 +745,7 @@ func (c *Core) fetch() {
 		// Mark the instruction in flight from fetch onwards, so a
 		// mispredicted branch blocks fetch until it actually executes
 		// (not until its stale history slot is consulted).
-		c.hist[c.seq%uint64(len(c.hist))] = farFuture
+		c.hist[c.seq%histLen] = farFuture
 		c.c.fetched++
 
 		// I-cache: account one access per new line touched.

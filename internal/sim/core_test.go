@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ramp/internal/config"
@@ -310,6 +312,25 @@ func TestTimeSecUsesFrequency(t *testing.T) {
 	if r.BIPS() <= 0 {
 		t.Fatal("BIPS should be positive")
 	}
+}
+
+// TestDeadlockGuardFires: an instruction whose producer aliases its own
+// completion-history slot never becomes ready. With nothing left to wait
+// for, the idle-cycle skip finds no event and the core steps until Run's
+// forward-progress guard panics on the first cycle past its limit.
+func TestDeadlockGuardFires(t *testing.T) {
+	cfg := config.Base()
+	cfg.WindowSize = 16
+	c := MustNew(cfg, newScript([]trace.Instr{{Op: trace.IntAlu, Dep1: histLen}}))
+	const n = 5_000
+	defer func() {
+		msg, _ := recover().(string)
+		want := fmt.Sprintf("sim: no forward progress after %d cycles", n*200+1_000_000+1)
+		if !strings.HasPrefix(msg, want) {
+			t.Fatalf("Run on a deadlocked core: recovered %q, want prefix %q", msg, want)
+		}
+	}()
+	c.Run(n)
 }
 
 func TestNewRejectsInvalidConfig(t *testing.T) {

@@ -314,7 +314,7 @@ func TestEdgeForwardFromHeadStore(t *testing.T) {
 			waiting = waiting[:0]
 			for k := 0; k < c.winCount; k++ {
 				idx := (c.winHead + k) % len(c.win)
-				if e := &c.win[idx]; e.instr.Op == trace.Load && !e.issued {
+				if e := &c.win[idx]; e.instr.Op == trace.Load && e.finish == farFuture {
 					waiting = append(waiting, idx)
 				}
 			}
@@ -325,7 +325,7 @@ func TestEdgeForwardFromHeadStore(t *testing.T) {
 		head := &c.win[c.winHead]
 		for _, idx := range waiting {
 			e := &c.win[idx]
-			if e.issued && e.seq > head.seq && e.instr.Addr&^7 == head.instr.Addr&^7 &&
+			if e.finish != farFuture && e.seq > head.seq && e.instr.Addr&^7 == head.instr.Addr&^7 &&
 				e.finish == c.cycle-1+hitLat {
 				return true
 			}

@@ -70,29 +70,57 @@ func TestResetRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
+// smallWindow is the base machine with a half-size instruction window.
+func smallWindow() config.Proc {
+	p := config.Base()
+	p.WindowSize /= 2
+	return p
+}
+
 // TestCoreRunSteadyStateZeroAlloc is the allocation budget for the inner
 // simulation loop: once warmed, Run must not allocate at all. This holds
-// the line on the fetch-path escape the ring-buffer fetch queue removed.
+// the line on the fetch-path escape the ring-buffer fetch queue removed,
+// and on the pending list and store ring, which Reset sizes for the
+// window so Run never grows them — including after a Reset to a
+// different window size.
 func TestCoreRunSteadyStateZeroAlloc(t *testing.T) {
-	g := trace.MustNewGenerator(trace.Gzip(), 1)
-	c := MustNew(config.Base(), g)
-	c.Run(50_000) // warm caches, predictor, MSHR backing arrays
-	if allocs := testing.AllocsPerRun(5, func() { c.Run(10_000) }); allocs != 0 {
-		t.Fatalf("steady-state Run allocated %.0f objects/op, want 0", allocs)
+	c := MustNew(config.Base(), newScript([]trace.Instr{{Op: trace.IntAlu}}))
+	for _, cfg := range []config.Proc{config.Base(), smallWindow(), config.Base()} {
+		if err := c.Reset(cfg, trace.MustNewGenerator(trace.Gzip(), 1)); err != nil {
+			t.Fatal(err)
+		}
+		c.Run(50_000) // warm caches and predictor
+		if allocs := testing.AllocsPerRun(5, func() { c.Run(10_000) }); allocs != 0 {
+			t.Fatalf("window %d: steady-state Run allocated %.0f objects/op, want 0",
+				cfg.WindowSize, allocs)
+		}
 	}
 }
 
 // TestCoreResetZeroAlloc is the allocation budget for core reuse: a
-// same-shape Reset must reuse every buffer.
+// same-shape Reset must reuse every buffer, and so must a Reset that only
+// changes the window size once the core has held the larger window.
 func TestCoreResetZeroAlloc(t *testing.T) {
 	g := trace.MustNewGenerator(trace.Gzip(), 1)
-	c := MustNew(config.Base(), g)
+	base, small := config.Base(), smallWindow()
+	c := MustNew(base, g)
 	c.Run(10_000)
 	if allocs := testing.AllocsPerRun(10, func() {
-		if err := c.Reset(config.Base(), g); err != nil {
+		if err := c.Reset(base, g); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
 		t.Fatalf("same-shape Reset allocated %.0f objects/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := c.Reset(small, g); err != nil {
+			t.Fatal(err)
+		}
+		c.Run(1_000)
+		if err := c.Reset(base, g); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Reset across window sizes allocated %.0f objects/op, want 0", allocs)
 	}
 }

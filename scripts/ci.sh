@@ -8,7 +8,9 @@
 # end-to-end smoke script, and the rampvet domain linter. Every lane
 # runs even if an earlier one fails; the exit status is the number of
 # failed lanes. The obscheck lane exercises the observability layer
-# (-trace/-stats on a real run, trace validation, obsguard).
+# (-trace/-stats on a real run, trace validation, obsguard). The
+# perfbench lane vets and tests the benchmark harness, a module of its
+# own that `./...` does not reach.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -36,9 +38,16 @@ check_gofmt() {
 	fi
 }
 
+# perfbench has its own go.mod (it points ramp at the parent
+# directory), so the root module's vet and test lanes skip it.
+perfbench_checks() {
+	(cd perfbench && go vet . && go test .)
+}
+
 lane "gofmt" check_gofmt
 lane "go vet" go vet ./...
 lane "go build" go build ./...
+lane "perfbench" perfbench_checks
 lane "go test" go test ./...
 lane "go test -tags rampdebug" go test -tags rampdebug ./...
 lane "go test -race (short)" go test -race -short ./internal/...

@@ -5,7 +5,8 @@
 #
 #   1. A quick evaluation run with -trace and -stats produces a span
 #      trace that tracecheck validates against the Chrome trace_event
-#      schema, and a stats summary carrying the pipeline counters.
+#      schema and attributes to its spans (-summary), and a stats
+#      summary carrying the pipeline counters.
 #   2. The same run with observability enabled prints byte-identical
 #      results (instrumentation observes, never perturbs).
 #   3. rampvet's obsguard analyzer holds: no internal package writes raw
@@ -31,6 +32,16 @@ step "quick run with -trace and -stats"
 
 step "trace validates against the Chrome trace_event schema"
 "${bindir}/tracecheck" "${logdir}/t.json"
+
+step "tracecheck -summary attributes the run to the simulator's spans"
+"${bindir}/tracecheck" -summary "${logdir}/t.json" >"${logdir}/summary.out"
+for span in sim.warmup sim.epoch exp.evaluate; do
+	grep -q "^  ${span} " "${logdir}/summary.out" || {
+		echo "FAIL: -summary missing span ${span}" >&2
+		cat "${logdir}/summary.out" >&2
+		exit 1
+	}
+done
 
 step "stats summary carries the pipeline counters"
 for metric in exp_epochs_simulated_total exp_evaluations_total \
