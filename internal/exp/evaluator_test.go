@@ -1,9 +1,10 @@
 package exp
 
 import (
-	"math"
+	"math/rand"
 	"testing"
 
+	"ramp/internal/config"
 	"ramp/internal/core"
 	"ramp/internal/floorplan"
 	"ramp/internal/trace"
@@ -79,24 +80,42 @@ func TestLowerTqualRaisesFIT(t *testing.T) {
 	}
 }
 
+// TestRequalifyMatchesEvaluate checks that requalifying a T_qual = 400 K
+// result equals, bit for bit in every field, a cold evaluation at the
+// new qualification point on a fresh Env (Section 3.7: simulation,
+// power and temperature do not depend on T_qual). It covers ammp on the
+// base machine at 345 K plus a few seeded (app, config, T_qual) points.
 func TestRequalifyMatchesEvaluate(t *testing.T) {
+	type point struct {
+		app  trace.Profile
+		proc config.Proc
+		tq   float64
+	}
+	base := config.Base()
+	points := []point{{trace.Ammp(), base, 345}}
+	rng := rand.New(rand.NewSource(7))
+	apps, archs := trace.Apps(), config.ArchConfigs()
+	freqs := config.DVSFrequencies(0.5e9)
+	for i := 0; i < 3; i++ {
+		proc := archs[rng.Intn(len(archs))].WithOperatingPoint(freqs[rng.Intn(len(freqs))])
+		points = append(points, point{apps[rng.Intn(len(apps))], proc, 325 + 0.5*float64(rng.Intn(151))})
+	}
 	env := quickEnv()
-	q400 := env.Qualification(400)
-	q345 := env.Qualification(345)
-	r400, err := env.Evaluate(trace.Ammp(), env.Base, q400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r345, err := env.Evaluate(trace.Ammp(), env.Base, q345)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requal, err := env.Requalify(r400, q345)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(requal.TotalFIT-r345.FIT()) > 1e-6*r345.FIT() {
-		t.Fatalf("Requalify %v != direct Evaluate %v", requal.TotalFIT, r345.FIT())
+	for _, p := range points {
+		r400, err := env.Evaluate(p.app, p.proc, env.Qualification(400))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requal, err := env.Requalify(r400, env.Qualification(p.tq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := quickEnv()
+		direct, err := cold.Evaluate(p.app, p.proc, cold.Qualification(p.tq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAssessment(t, p.app.Name+"/"+p.proc.Name, requal, direct.Assessment)
 	}
 }
 
