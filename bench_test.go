@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"ramp"
+	"ramp/internal/drm"
 	"ramp/internal/exp"
 	"ramp/internal/figures"
 	"ramp/internal/fleet"
@@ -270,6 +271,29 @@ func BenchmarkEvaluateCacheHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := env.Evaluate(app, env.Base, qualAt(env, quals[i%len(quals)])); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDRMSelect measures one oracle DRM selection (Sections 5 and
+// 7) over bzip2's evaluated ArchDVS space on the 0.5 GHz DVS grid (108
+// candidates), at a T_qual that rotates every iteration. The sweep is
+// evaluated once before timing, so the number is the selection alone:
+// one budget per T_qual applied to every candidate's RAMP exposure.
+func BenchmarkDRMSelect(b *testing.B) {
+	env := quickEnv()
+	oracle := drm.NewOracle(env)
+	oracle.FreqStepHz = 0.5e9
+	sweep, err := oracle.Sweep(trace.Bzip2(), drm.ArchDVS)
+	if err != nil {
+		b.Fatal(err)
+	}
+	quals := []ramp.Qualification{qualAt(env, 400), qualAt(env, 370), qualAt(env, 345), qualAt(env, 325)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sweep.Select(env, quals[i%len(quals)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -277,50 +277,42 @@ func (q Qualification) Conditions() Conditions {
 	}
 }
 
-// Budget is the per-structure, per-mechanism FIT allocation produced by
-// qualification: the target FIT split evenly across mechanisms and, per
-// mechanism, across structures proportional to area (Section 3.7).
+// Budget is the per-qualification half of RAMP: the target FIT split
+// evenly across mechanisms and, per mechanism, across structures
+// proportional to area (Section 3.7), together with each mechanism's
+// failure rate at the qualification point. Qualification conditions are
+// the same for every structure (fully powered on at T_qual, V_qual,
+// f_qual and A_qual), so there is one qualification rate per mechanism.
 type Budget struct {
 	Alloc    [floorplan.NumStructures][NumMechanisms]float64 // FIT
-	QualRate [floorplan.NumStructures][NumMechanisms]float64 // λ at qual point
+	QualRate [NumMechanisms]float64                          // λ at qual point
 }
 
-// NewBudget computes the qualification budget for a floorplan.
-func NewBudget(fp *floorplan.Floorplan, p Params, q Qualification) (*Budget, error) {
+// NewBudget computes the qualification budget for a floorplan. It
+// evaluates one rate model per mechanism; thermal cycling's cycle runs
+// from T_qual, which is the qualification conditions' temperature.
+func NewBudget(fp *floorplan.Floorplan, p Params, q Qualification) (Budget, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return Budget{}, err
 	}
 	if err := q.Validate(); err != nil {
-		return nil, err
+		return Budget{}, err
 	}
-	b := &Budget{}
-	perMech := q.TargetFIT / float64(NumMechanisms)
+	var b Budget
 	qc := q.Conditions()
+	for m := Mechanism(0); m < NumMechanisms; m++ {
+		r := p.Rate(m, qc)
+		if r <= 0 {
+			return Budget{}, fmt.Errorf("core: zero qualification rate for %v", m)
+		}
+		b.QualRate[m] = r
+	}
+	perMech := q.TargetFIT / float64(NumMechanisms)
 	for s := floorplan.Structure(0); s < floorplan.NumStructures; s++ {
 		frac := fp.AreaFraction(s)
-		for _, m := range Mechanisms() {
+		for m := range b.Alloc[s] {
 			b.Alloc[s][m] = perMech * frac
-			c := qc
-			if m == TC {
-				c.TempK = q.TqualK // cycle to Tqual
-			}
-			r := p.Rate(m, c)
-			if r <= 0 {
-				return nil, fmt.Errorf("core: zero qualification rate for %v/%v", s, m)
-			}
-			b.QualRate[s][m] = r
 		}
 	}
 	return b, nil
-}
-
-// InstantFIT returns the instantaneous FIT contribution of structure s
-// under mechanism m at conditions c: the budgeted FIT scaled by the
-// failure-rate ratio against qualification conditions.
-//
-//ramp:hot
-func (b *Budget) InstantFIT(p Params, s floorplan.Structure, m Mechanism, c Conditions) float64 {
-	fit := b.Alloc[s][m] * p.Rate(m, c) / b.QualRate[s][m]
-	check.NonNegative("core.Budget.InstantFIT", fit)
-	return fit
 }

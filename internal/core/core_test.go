@@ -33,6 +33,43 @@ func TestMechanismString(t *testing.T) {
 	}
 }
 
+// TestDefaultParamsMatchPaper pins the device-model constants to
+// Sections 3.1-3.4 and to the independent RAMP port in SNIPPETS.md
+// snippet 1. One constant differs in sign by convention, not value: the
+// snippet writes TDDB b = −0.081 for a voltage exponent a + b·T, we
+// write b = +0.081 for a − b·T (DESIGN.md §2 item 3), and the two
+// exponents agree.
+func TestDefaultParamsMatchPaper(t *testing.T) {
+	p := DefaultParams(TCAmbientK)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"EM n", p.EMExponent, 1.1},
+		{"EM Ea", p.EMEaEV, 0.9},
+		{"SM n", p.SMExponent, 2.5},
+		{"SM Ea", p.SMEaEV, 0.9},
+		{"SM T0", p.SMT0K, 500},
+		{"TDDB a", p.TDDBA, 78},
+		{"TDDB b", p.TDDBB, 0.081},
+		{"TDDB X", p.TDDBX, 0.759},
+		{"TDDB Y", p.TDDBY, -66.8},
+		{"TDDB Z", p.TDDBZ, -8.37e-4},
+		{"TC q", p.TCExponent, 2.35},
+		{"TC ambient", p.AmbientK, TCAmbientK},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+	const snippetB = -0.081 // SNIPPETS.md snippet 1: constants.TDDB.b
+	for _, tempK := range []float64{330, 360, 390} {
+		if ours, theirs := p.TDDBA-p.TDDBB*tempK, p.TDDBA+snippetB*tempK; ours != theirs {
+			t.Errorf("TDDB voltage exponent at %v K: ours %v, snippet %v", tempK, ours, theirs)
+		}
+	}
+}
+
 func TestEMRateProperties(t *testing.T) {
 	p := params()
 	// Exponential acceleration with temperature.

@@ -1,15 +1,12 @@
 package core
 
-import (
-	"time"
-
-	"ramp/internal/floorplan"
-	"ramp/internal/obs"
-)
+import "ramp/internal/obs"
 
 // FITTimers accumulates the time spent evaluating each failure
-// mechanism's FIT model, in nanoseconds, across every Observe/Assess on
-// every engine the timers are attached to. The counters answer the
+// mechanism's rate model, in nanoseconds, across every exposure recorded
+// with them and every Observe/Assess of an engine they are attached to.
+// Budget.Assess evaluates no rate model, so requalification adds
+// nothing. The counters answer the
 // profiling question pprof flattens away: of the RAMP arithmetic, how
 // much goes to EM vs SM vs TDDB vs TC?
 type FITTimers struct {
@@ -18,7 +15,7 @@ type FITTimers struct {
 
 // NewFITTimers resolves the per-mechanism timer counters from reg
 // (core_fit_compute_ns_em and friends). A nil registry returns nil
-// timers, which keep engines on the untimed fast path.
+// timers, which keep rate evaluation on the untimed fast path.
 func NewFITTimers(reg *obs.Registry) *FITTimers {
 	if reg == nil {
 		return nil
@@ -31,41 +28,22 @@ func NewFITTimers(reg *obs.Registry) *FITTimers {
 	}
 }
 
-// SetTimers attaches per-mechanism FIT timers to the engine. With
-// timers set, Observe runs mechanism-major so each mechanism's model
-// evaluation can be timed as one block; each fitSum slot still receives
-// exactly the same additions in exactly the same order as the untimed
-// structure-major loop, so accumulated sums — and therefore Assess —
-// stay bitwise identical (TestObserveTimedBitwiseIdentical).
-func (e *Engine) SetTimers(t *FITTimers) { e.timers = t }
-
-// observeTimed is Observe's mechanism-major body: one timed pass over
-// all structures per mechanism. Inputs were already validated by
-// Observe.
-//
-//ramp:hot
-func (e *Engine) observeTimed(iv Interval, w float64) {
-	start := time.Now()
-	for s := floorplan.Structure(0); s < floorplan.NumStructures; s++ {
-		e.fitSum[s][EM] += w * e.budget.InstantFIT(e.params, s, EM, iv.Structures[s])
-	}
-	t1 := time.Now()
-	e.timers.EM.Add(t1.Sub(start).Nanoseconds())
-	for s := floorplan.Structure(0); s < floorplan.NumStructures; s++ {
-		e.fitSum[s][SM] += w * e.budget.InstantFIT(e.params, s, SM, iv.Structures[s])
-	}
-	t2 := time.Now()
-	e.timers.SM.Add(t2.Sub(t1).Nanoseconds())
-	for s := floorplan.Structure(0); s < floorplan.NumStructures; s++ {
-		e.fitSum[s][TDDB] += w * e.budget.InstantFIT(e.params, s, TDDB, iv.Structures[s])
-	}
-	e.timers.TDDB.Add(time.Since(t2).Nanoseconds())
-	for s := floorplan.Structure(0); s < floorplan.NumStructures; s++ {
-		c := iv.Structures[s]
-		e.tempSum[s] += w * c.TempK
-		e.onSum[s] += w * c.OnFraction
-		if c.TempK > e.maxTemp {
-			e.maxTemp = c.TempK
-		}
+// counter returns mechanism m's timer.
+func (t *FITTimers) counter(m Mechanism) *obs.Counter {
+	switch m {
+	case EM:
+		return t.EM
+	case SM:
+		return t.SM
+	case TDDB:
+		return t.TDDB
+	default:
+		return t.TC
 	}
 }
+
+// SetTimers attaches per-mechanism FIT timers to the engine. Timing is
+// observational only: the timed and untimed engines evaluate the same
+// rates and fold them identically, so their assessments are bitwise
+// equal (TestObserveTimedBitwiseIdentical).
+func (e *Engine) SetTimers(t *FITTimers) { e.timers = t }

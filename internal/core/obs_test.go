@@ -8,28 +8,15 @@ import (
 )
 
 // TestObserveTimedBitwiseIdentical proves the per-mechanism FIT timers
-// are observational only: an engine with timers attached (mechanism-major
-// Observe) produces a bitwise-identical assessment to the untimed
-// structure-major engine over the same interval stream.
+// are observational only: an engine with timers attached produces a
+// bitwise-identical assessment to the untimed engine over the same
+// interval stream.
 func TestObserveTimedBitwiseIdentical(t *testing.T) {
 	fp := floorplan.R10000Like()
 	plain := MustNewEngine(fp, params(), qual())
 	timed := MustNewEngine(fp, params(), qual())
 	timed.SetTimers(NewFITTimers(obs.NewRegistry()))
-
-	// A varied interval stream: temperatures, activities and durations
-	// all change so every fitSum slot accumulates several distinct values.
-	for i := 0; i < 7; i++ {
-		iv := Interval{DurationSec: 0.5 + 0.13*float64(i)}
-		for s := range iv.Structures {
-			iv.Structures[s] = Conditions{
-				TempK:      345 + 3.7*float64(i) + 1.9*float64(s),
-				VddV:       1.0 + 0.01*float64(i%3),
-				FreqHz:     4e9 - 1e8*float64(i%4),
-				Activity:   0.1 + 0.05*float64((i+s)%10),
-				OnFraction: 1 - 0.03*float64(s%5),
-			}
-		}
+	for _, iv := range variedIntervals(7) {
 		if err := plain.Observe(iv); err != nil {
 			t.Fatal(err)
 		}

@@ -153,17 +153,16 @@ type Choice struct {
 }
 
 // Select picks the best-performing candidate meeting the FIT target at
-// the given qualification point. Requalification — the expensive part —
-// runs on the environment's worker pool; the selection itself scans the
-// assessments serially in candidate order, so the outcome (including
-// tie-breaking towards the earlier candidate) is identical to a fully
-// sequential pass.
+// the given qualification point. It builds the point's budget once and
+// applies it to each candidate's exposure in candidate order — pure
+// arithmetic, serial and allocation-free — keeping only the running best
+// and fallback; ties break towards the earlier candidate. The choice's
+// Result carries the pick's assessment at qual.
 func (s *Sweep) Select(env *exp.Env, qual core.Qualification) (Choice, error) {
 	return s.SelectCtx(context.Background(), env, qual)
 }
 
-// SelectCtx is Select with cancellation; the batched requalification
-// stops picking up candidates once ctx is done.
+// SelectCtx is Select with cancellation, checked between candidates.
 func (s *Sweep) SelectCtx(ctx context.Context, env *exp.Env, qual core.Qualification) (Choice, error) {
 	if len(s.Candidates) == 0 {
 		return Choice{}, fmt.Errorf("drm: empty candidate set")
@@ -174,33 +173,42 @@ func (s *Sweep) SelectCtx(ctx context.Context, env *exp.Env, qual core.Qualifica
 	}
 	defer span.End()
 	env.Metrics.Counter(MetricSelects).Inc()
-	assessments, err := env.RequalifyAllCtx(ctx, s.Candidates, qual)
+	budget, err := core.NewBudget(env.FP, env.Params, qual)
 	if err != nil {
 		return Choice{}, err
 	}
 	best, fallback := -1, -1
-	var bestRel, fallbackFIT float64
+	var bestRel float64
+	var bestA, fallbackA core.Assessment
 	for i := range s.Candidates {
-		fit := assessments[i].TotalFIT
-		rel := s.Candidates[i].BIPS / s.Base.BIPS
-		check.NonNegative("drm.Sweep.Select.FIT", fit)
-		check.NonNegative("drm.Sweep.Select.RelPerf", rel)
-		if fit <= qual.TargetFIT && (best < 0 || rel > bestRel) {
-			best, bestRel = i, rel
+		if err := ctx.Err(); err != nil {
+			return Choice{}, err
 		}
-		if fallback < 0 || fit < fallbackFIT {
-			fallback, fallbackFIT = i, fit
+		c := &s.Candidates[i]
+		if c.Exposure == nil {
+			return Choice{}, fmt.Errorf("drm: candidate %d (%s/%s) has no RAMP exposure", i, c.App, c.Proc.Name)
+		}
+		a := budget.Assess(c.Exposure)
+		rel := c.BIPS / s.Base.BIPS
+		check.NonNegative("drm.Sweep.Select.FIT", a.TotalFIT)
+		check.NonNegative("drm.Sweep.Select.RelPerf", rel)
+		if a.TotalFIT <= qual.TargetFIT && (best < 0 || rel > bestRel) {
+			best, bestRel, bestA = i, rel, a
+		}
+		if fallback < 0 || a.TotalFIT < fallbackA.TotalFIT {
+			fallback, fallbackA = i, a
 		}
 	}
-	pick, feasible := fallback, false
+	pick, a, feasible := fallback, fallbackA, false
 	if best >= 0 {
-		pick, feasible = best, true
+		pick, a, feasible = best, bestA, true
 	}
 	r := s.Candidates[pick]
+	r.Assessment = a
 	return Choice{
 		Proc:     r.Proc,
 		Result:   r,
-		FIT:      assessments[pick].TotalFIT,
+		FIT:      a.TotalFIT,
 		RelPerf:  r.BIPS / s.Base.BIPS,
 		Feasible: feasible,
 	}, nil

@@ -1,6 +1,8 @@
 package drm
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"ramp/internal/config"
@@ -182,6 +184,45 @@ func TestInfeasibleFallsBackToMinFIT(t *testing.T) {
 	if c.Proc.FreqHz != config.MinFreqHz {
 		t.Fatalf("fallback is %v GHz, want the coolest point %v",
 			c.Proc.FreqHz/1e9, config.MinFreqHz/1e9)
+	}
+}
+
+// TestChoiceResultAssessedAtQual checks that a choice's Result carries
+// the pick's assessment at the selected qualification point, not the
+// sweep's: the two FITs differ roughly eightfold for twolf at 345 K.
+func TestChoiceResultAssessedAtQual(t *testing.T) {
+	o := quickOracle()
+	sweep, err := o.Sweep(trace.Twolf(), DVS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qual := o.Env.Qualification(345)
+	c, err := sweep.Select(o.Env, qual)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Result.FIT() != c.FIT {
+		t.Fatalf("Choice.Result.FIT() = %v, Choice.FIT = %v", c.Result.FIT(), c.FIT)
+	}
+	want, err := o.Env.Requalify(c.Result, qual)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Result.Assessment != want {
+		t.Fatalf("Choice.Result.Assessment is not the pick's assessment at %v K", qual.TqualK)
+	}
+}
+
+func TestSelectCtxCancelled(t *testing.T) {
+	o := quickOracle()
+	sweep, err := o.Sweep(trace.Twolf(), DVS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := sweep.SelectCtx(ctx, o.Env, o.Env.Qualification(345)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v (want context.Canceled)", err)
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 )
 
 // evalArena is the per-worker scratch state of one uncached evaluation:
-// a pooled simulator core, one trace generator per application profile,
-// and a reusable epoch-row buffer. Arenas live in the Env's sync.Pool,
-// so concurrent EvaluateAll workers each hold their own arena and the
-// buffers are reused — not reallocated — across the hundreds of
-// evaluations of a sweep.
+// a pooled simulator core, a trace generator and a reusable epoch-row
+// buffer. Arenas live in a package-level sync.Pool, so concurrent
+// EvaluateAll workers each hold their own arena and the buffers are
+// reused — not reallocated — across the hundreds of evaluations of a
+// sweep and across Envs.
 //
 // Aliasing rules:
 //
@@ -23,45 +23,54 @@ import (
 //   - The epoch rows the evaluation pipeline fills are arena scratch;
 //     the Result (and therefore the cache) receives a compact copy, so
 //     cached Result.Epochs have no live aliases and stay valid forever.
-//     Callers (and Requalify) must still treat them as read-only.
-//   - Generators are keyed by profile name: within one Env, equal names
-//     must mean equal profiles — the same assumption the evaluation
-//     cache already makes by keying on app.Name.
+//     Callers must still treat them as read-only.
+//
+// An arena keeps one generator, not one per application: a generator's
+// programs take about 90 KB, so a pooled arena holding all nine held
+// 0.8 MB of them.
 type evalArena struct {
 	core *sim.Core
-	gens map[string]*trace.Generator
+	gen  *trace.Generator
 	rows []EpochRow
 }
 
-// getArena pops an arena from the Env's pool, building one on first use
-// (the pool's zero value needs no constructor).
-func (e *Env) getArena() *evalArena {
-	if a, _ := e.arenas.Get().(*evalArena); a != nil {
+// arenas pools evaluation scratch across every Env. An arena holds
+// nothing Env-specific — its core and generator are reset in place for
+// each evaluation — so a fresh Env reuses the scratch of earlier ones.
+// A pool embedded in each Env would also stay registered with the
+// runtime for two garbage collections after its Env died, keeping that
+// Env's result cache reachable; short-lived Envs would pile up.
+var arenas sync.Pool
+
+// getArena pops an arena from the pool, building one on first use.
+func getArena() *evalArena {
+	if a, _ := arenas.Get().(*evalArena); a != nil {
 		return a
 	}
-	return &evalArena{gens: make(map[string]*trace.Generator)}
+	return &evalArena{}
 }
 
 // putArena returns an arena to the pool once its evaluation finished.
-func (e *Env) putArena(a *evalArena) { e.arenas.Put(a) }
+func putArena(a *evalArena) { arenas.Put(a) }
 
-// generator returns a generator for app positioned at the start of its
-// stream: the pooled one reset in place when this arena has evaluated
-// app before (allocation-free), a fresh one otherwise.
+// generator returns the arena's generator reset onto app at the start
+// of its stream (a fresh one on first use). Reset rebuilds the
+// generator from the profile it is given, reusing its buffers where
+// their shapes allow, so one generator serves every application.
 //
 //ramp:hot
 func (a *evalArena) generator(app trace.Profile, seed int64) (*trace.Generator, error) {
-	if g := a.gens[app.Name]; g != nil {
-		if err := g.Reset(app, seed); err != nil {
+	if a.gen != nil {
+		if err := a.gen.Reset(app, seed); err != nil {
 			return nil, err
 		}
-		return g, nil
+		return a.gen, nil
 	}
 	g, err := trace.NewGenerator(app, seed)
 	if err != nil {
 		return nil, err
 	}
-	a.gens[app.Name] = g
+	a.gen = g
 	return g, nil
 }
 
@@ -102,7 +111,3 @@ func (a *evalArena) epochRows(n int) []EpochRow {
 // grow is epochRows' cold path, split out so the hot path stays free of
 // allocation sites.
 func (a *evalArena) grow(n int) { a.rows = make([]EpochRow, n) }
-
-// arenaPool is the Env field type; a named type keeps the Env struct
-// declaration readable.
-type arenaPool = sync.Pool

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -9,25 +10,29 @@ import (
 	"ramp/internal/trace"
 )
 
-// TestArenaReuseBitIdentical checks the arena's core promise: an Env
-// whose arena has already evaluated other points (dirty core, warm
-// generators, recycled epoch rows) produces Results bit-identical to a
-// fresh Env's. Distinct procs defeat the evaluation cache, so every
+// TestArenaReuseBitIdentical checks the arena's core promise: an arena
+// that has already evaluated other points (dirty core, warm generators,
+// recycled epoch rows) produces Results bit-identical to a fresh
+// arena's. Distinct procs defeat the evaluation cache, so every
 // Evaluate below really runs the pipeline.
 func TestArenaReuseBitIdentical(t *testing.T) {
 	warm := quickEnv()
 	qual := warm.Qualification(360)
-	// Dirty the arena with evaluations of other apps and configurations.
+	// Dirty the pooled arenas with evaluations of other apps and
+	// configurations.
 	for _, app := range []trace.Profile{trace.Twolf(), trace.Gzip()} {
 		if _, err := warm.Evaluate(app, warm.Base, qual); err != nil {
 			t.Fatal(err)
 		}
 	}
 	slow := warm.Base.WithOperatingPoint(3.5e9)
+	fresh := quickEnv()
 	for _, app := range trace.Apps() {
-		fresh := quickEnv()
-		want, err := fresh.Evaluate(app, slow, qual)
+		want, err := fresh.evaluate(context.Background(), app, slow, &evalArena{})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Assessment, err = fresh.Requalify(want, qual); err != nil {
 			t.Fatal(err)
 		}
 		got, err := warm.Evaluate(app, slow, qual)
@@ -35,7 +40,7 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: warm-arena result diverged from fresh env:\n got %+v\nwant %+v",
+			t.Fatalf("%s: warm-arena result diverged from a fresh arena's:\n got %+v\nwant %+v",
 				app.Name, got, want)
 		}
 	}
@@ -71,8 +76,8 @@ func TestCachedEpochRowsSurviveArenaReuse(t *testing.T) {
 }
 
 // TestRequalifyDoesNotMutateCachedRows enforces the read-only contract
-// on cached Result.Epochs: requalifying — directly and via the cache
-// fallback for stripped results — must leave the rows untouched.
+// on cached Result.Epochs: requalifying — a full Result and one stripped
+// of its rows — must leave the rows untouched.
 func TestRequalifyDoesNotMutateCachedRows(t *testing.T) {
 	env := quickEnv()
 	res, err := env.Evaluate(trace.Bzip2(), env.Base, env.Qualification(400))
@@ -86,7 +91,7 @@ func TestRequalifyDoesNotMutateCachedRows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Stripped result: Requalify falls back to the cache-retained rows.
+	// Stripped result: Requalify needs only the exposure.
 	stripped := res
 	stripped.Epochs = nil
 	if _, err := env.Requalify(stripped, env.Qualification(345)); err != nil {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"ramp/internal/config"
-	"ramp/internal/core"
 )
 
 // evalKey identifies the qualification-independent part of one
@@ -16,9 +15,9 @@ import (
 // configuration). Proc.Name is cleared before keying — naming is
 // cosmetic, so the base machine and the identically-configured DVS grid
 // point "w128-a6-f4@4.00GHz" memoize to the same simulation. The
-// qualification point is deliberately absent: simulation, power and
-// temperature do not depend on it, and Requalify derives any T_qual's
-// assessment from the cached epoch rows.
+// qualification point is deliberately absent: simulation, power,
+// temperature and the RAMP exposure do not depend on it, and any T_qual's
+// assessment is its budget applied to the cached exposure.
 type evalKey struct {
 	app  string
 	proc config.Proc
@@ -32,13 +31,12 @@ type evalKey struct {
 // not burn the entry: the cancelled entry is dropped from the map before
 // done closes, so one of the waiters (or a later caller) retakes
 // leadership and the configuration still gets simulated exactly once by
-// a caller that actually wants it. ready flips before done closes so
-// lock-free readers (Requalify's fallback) know res/err are safe.
+// a caller that actually wants it. ready flips before done closes, so a
+// waiter woken by done knows whether res/err are valid.
 type cacheEntry struct {
 	done  chan struct{} // closed when the flight finishes (or is abandoned)
 	ready atomic.Bool   // res/err valid (flight completed, not abandoned)
-	res   Result        // Epochs retained even under DropEpochRows
-	qual  core.Qualification
+	res   Result        // everything but the assessment
 	err   error
 }
 
@@ -100,18 +98,6 @@ func (c *evalCache) abandon(k evalKey, e *cacheEntry) {
 	}
 	c.mu.Unlock()
 	close(e.done)
-}
-
-// lookup returns the completed entry for k, or nil if the key is absent
-// or still being computed.
-func (c *evalCache) lookup(k evalKey) *cacheEntry {
-	c.mu.Lock()
-	e := c.m[k]
-	c.mu.Unlock()
-	if e == nil || !e.ready.Load() {
-		return nil
-	}
-	return e
 }
 
 // Len reports how many distinct evaluations have been memoized

@@ -55,8 +55,7 @@ func TestCacheHitBitwiseIdenticalToColdRun(t *testing.T) {
 
 func TestCacheHitRequalifiesBitwiseIdentically(t *testing.T) {
 	// A cache hit at a different T_qual must equal a cold run at that
-	// T_qual: the requalification path re-derives the assessment from
-	// the cached epoch rows through the same engine code.
+	// T_qual: both apply the T_qual's budget to the same exposure.
 	app := trace.Gzip()
 	coldEnv := quickEnv()
 	cold, err := coldEnv.Evaluate(app, coldEnv.Base, coldEnv.Qualification(345))
@@ -119,8 +118,8 @@ func TestDropEpochRows(t *testing.T) {
 		t.Fatalf("DropEpochRows left %d epoch rows on the result", len(r.Epochs))
 	}
 
-	// Requalify must still work, fed from the cache's retained rows, and
-	// match a full-rows environment bitwise.
+	// Requalify must still work, fed from the exposure, and match a
+	// full-rows environment bitwise.
 	a, err := env.Requalify(r, env.Qualification(345))
 	if err != nil {
 		t.Fatal(err)

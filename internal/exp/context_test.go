@@ -140,20 +140,6 @@ func TestEvaluateAllCtxCancelledAbortsBatch(t *testing.T) {
 	}
 }
 
-func TestRequalifyAllCtxCancelled(t *testing.T) {
-	env := NewEnv(QuickOptions())
-	res, err := env.Evaluate(trace.Twolf(), env.Base, env.Qualification(400))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	results := []Result{res, res, res}
-	if _, err := env.RequalifyAllCtx(ctx, results, env.Qualification(345)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v (want context.Canceled)", err)
-	}
-}
-
 func TestEvaluateDeadlineExceeded(t *testing.T) {
 	env := NewEnv(cancelOptions())
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)

@@ -56,11 +56,11 @@ type Options struct {
 	// bitwise-identical to the fixed-count behaviour).
 	TolK float64
 
-	// DropEpochRows strips the per-epoch rows from returned Results,
-	// keeping only aggregates. Sweeps over hundreds of candidates hold
-	// every Result alive; the rows dominate that memory and most callers
-	// only read aggregates. The evaluation cache retains the rows
-	// internally, so Requalify still works on a stripped Result.
+	// DropEpochRows keeps the per-epoch rows out of Results and the
+	// evaluation cache, keeping only aggregates and the RAMP exposure.
+	// Sweeps over hundreds of candidates hold every Result alive; the
+	// rows dominate that memory and most callers only read aggregates.
+	// Requalify needs only the exposure, so it still works.
 	DropEpochRows bool
 }
 
@@ -126,12 +126,6 @@ type Env struct {
 	// sweep, overlapping Arch/DVS/ArchDVS candidate sets, repeated
 	// figure regenerations — simulate each distinct point once.
 	cache evalCache
-
-	// arenas pools per-worker evaluation scratch — simulator core,
-	// per-profile generators, epoch-row buffer — so steady-state
-	// evaluations reuse buffers instead of reallocating them (see
-	// evalArena for the aliasing rules).
-	arenas arenaPool
 }
 
 // NewEnv builds the standard environment: 65 nm technology, Table 1 base
@@ -209,6 +203,12 @@ type Result struct {
 
 	Assessment core.Assessment
 	Epochs     []EpochRow
+
+	// Exposure is the run's qualification-independent RAMP record, from
+	// which Requalify and every cache hit derive the assessment at any
+	// qualification point. Like Epochs it is shared with the evaluation
+	// cache and read-only; unlike Epochs it survives DropEpochRows.
+	Exposure *core.Exposure
 }
 
 // FIT returns the run's total FIT value.
@@ -218,12 +218,13 @@ func (r Result) FIT() float64 { return r.Assessment.TotalFIT }
 // reliability results. qual sets the RAMP qualification point.
 //
 // Results are memoized: the first call for a given (app, proc, Options)
-// simulates; subsequent calls return the cached outcome, re-deriving
-// only the RAMP assessment when qual differs (Requalify — simulation,
-// power and temperature are qualification-independent). Concurrent
-// calls for the same key share one simulation. Cached Results share
-// their epoch-row backing array; callers must treat Epochs as
-// read-only.
+// simulates; subsequent calls return the cached outcome. Simulation,
+// power, temperature and the RAMP exposure are qualification-independent,
+// so every call — the first included — derives its assessment by
+// applying qual's budget to the cached exposure, and a cache hit equals
+// a cold run bit for bit by construction. Concurrent calls for the same
+// key share one simulation. Cached Results share their epoch rows and
+// exposure; callers must treat both as read-only.
 func (e *Env) Evaluate(app trace.Profile, proc config.Proc, qual core.Qualification) (Result, error) {
 	return e.EvaluateCtx(context.Background(), app, proc, qual)
 }
@@ -236,6 +237,10 @@ func (e *Env) Evaluate(app trace.Profile, proc config.Proc, qual core.Qualificat
 // waiter that joined a flight whose leader was cancelled retakes
 // leadership itself.
 func (e *Env) EvaluateCtx(ctx context.Context, app trace.Profile, proc config.Proc, qual core.Qualification) (Result, error) {
+	budget, err := core.NewBudget(e.FP, e.Params, qual)
+	if err != nil {
+		return Result{}, err
+	}
 	key := e.keyFor(app.Name, proc)
 	var ent *cacheEntry
 	for {
@@ -246,8 +251,9 @@ func (e *Env) EvaluateCtx(ctx context.Context, app trace.Profile, proc config.Pr
 		ent, leader = e.cache.acquire(key)
 		if leader {
 			e.obs.cacheMisses.Inc()
-			ent.res, ent.err = e.evaluate(ctx, app, proc, qual)
-			ent.qual = qual
+			ar := getArena()
+			ent.res, ent.err = e.evaluate(ctx, app, proc, ar)
+			putArena(ar)
 			if ent.err != nil && isCtxErr(ent.err) {
 				e.cache.abandon(key, ent)
 				return Result{}, ent.err
@@ -274,21 +280,11 @@ func (e *Env) EvaluateCtx(ctx context.Context, app trace.Profile, proc config.Pr
 		return Result{}, ent.err
 	}
 	res := ent.res
-	if qual != ent.qual {
-		//rampvet:ignore ctxflow -- single-result requalification is bounded CPU over cached epoch rows; cancellation already happened at the evaluate/cache-wait stage above
-		a, err := e.Requalify(ent.res, qual)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Assessment = a
-	}
+	res.Assessment = budget.Assess(res.Exposure)
 	// The stored result may carry a different cosmetic Proc.Name for the
 	// same configuration; report the caller's.
 	res.App = app.Name
 	res.Proc = proc
-	if e.Opts.DropEpochRows {
-		res.Epochs = nil
-	}
 	return res, nil
 }
 
@@ -307,11 +303,14 @@ func (e *Env) CachedEvaluations() int { return e.cache.Len() }
 // assertions in tests).
 func (e *Env) CacheStats() CacheStats { return e.cache.Stats() }
 
-// evaluate is the uncached evaluation pipeline. ctx is checked at every
-// epoch boundary of both the timing simulation and the thermal passes.
-// Evaluations run concurrently on the worker pool, so the evaluation
-// span opens a fresh track; everything below it nests on that track.
-func (e *Env) evaluate(ctx context.Context, app trace.Profile, proc config.Proc, qual core.Qualification) (Result, error) {
+// evaluate is the uncached, qualification-independent evaluation
+// pipeline: it returns everything but the assessment, which EvaluateCtx
+// derives from the exposure. ar supplies the scratch state (see
+// evalArena). ctx is checked at every epoch boundary of both the timing
+// simulation and the thermal passes. Evaluations run concurrently on the
+// worker pool, so the evaluation span opens a fresh track; everything
+// below it nests on that track.
+func (e *Env) evaluate(ctx context.Context, app trace.Profile, proc config.Proc, ar *evalArena) (Result, error) {
 	evalStart := time.Now()
 	ctx, evalSpan := e.Trace.StartTrack(ctx, "exp.evaluate")
 	if evalSpan.Enabled() {
@@ -319,8 +318,6 @@ func (e *Env) evaluate(ctx context.Context, app trace.Profile, proc config.Proc,
 	}
 	defer evalSpan.End()
 
-	ar := e.getArena()
-	defer e.putArena(ar)
 	gen, err := ar.generator(app, e.Opts.Seed)
 	if err != nil {
 		return Result{}, err
@@ -382,19 +379,12 @@ func (e *Env) evaluate(ctx context.Context, app trace.Profile, proc config.Proc,
 		ps.End()
 	}
 
-	// RAMP accumulation.
+	// RAMP exposure: every rate model the run needs, evaluated once.
 	_, as := e.Trace.Start(ctx, "ramp.assess")
-	engine, err := core.NewEngine(e.FP, e.Params, qual)
-	if err != nil {
-		return Result{}, err
-	}
-	engine.SetTimers(e.fitTimers)
 	var res Result
 	res.App = app.Name
 	res.Proc = proc
-	var ipcMean, dieTempMean stats.Mean
-	var timeSum, retired float64
-	for i := range epochs {
+	res.Exposure, err = core.NewExposure(e.Params, len(epochs), e.fitTimers, func(i int) core.Interval {
 		row := &epochs[i]
 		iv := core.Interval{DurationSec: row.Sim.TimeSec}
 		for s := floorplan.Structure(0); s < floorplan.NumStructures; s++ {
@@ -406,9 +396,16 @@ func (e *Env) evaluate(ctx context.Context, app trace.Profile, proc config.Proc,
 				OnFraction: on[s],
 			}
 		}
-		if err := engine.Observe(iv); err != nil {
-			return Result{}, err
-		}
+		return iv
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	as.End()
+	var ipcMean, dieTempMean stats.Mean
+	var timeSum, retired float64
+	for i := range epochs {
+		row := &epochs[i]
 		timeSum += row.Sim.TimeSec
 		retired += float64(row.Sim.Retired)
 		ipcMean.AddWeighted(row.Sim.IPC, row.Sim.TimeSec)
@@ -426,14 +423,11 @@ func (e *Env) evaluate(ctx context.Context, app trace.Profile, proc config.Proc,
 	res.AvgW = avgW
 	res.AvgTempK = dieTempMean.Value()
 	res.SinkK = sinkK
-	res.Assessment, err = engine.Assess()
-	if err != nil {
-		return Result{}, err
-	}
-	as.End()
 	// The rows filled above are arena scratch; the Result — and through
 	// it the cache — gets one compact copy it owns forever.
-	res.Epochs = append([]EpochRow(nil), epochs...)
+	if !e.Opts.DropEpochRows {
+		res.Epochs = append([]EpochRow(nil), epochs...)
+	}
 	e.obs.evaluations.Inc()
 	e.obs.evalUS.Observe(time.Since(evalStart).Microseconds())
 	return res, nil
@@ -491,74 +485,20 @@ func maxAbsDelta(a, b power.Vector) float64 {
 }
 
 // Requalify recomputes the RAMP assessment of an existing Result under a
-// different qualification point, reusing the stored per-epoch simulation
-// and thermal data. Simulation, power and temperature do not depend on
-// the qualification point, so exploring many T_qual values only needs one
-// Evaluate per (application, configuration). A Result whose epoch rows
-// were stripped (Options.DropEpochRows) is requalified from the rows the
-// evaluation cache retains.
+// different qualification point by applying the point's budget to the
+// Result's exposure: arithmetic only, no rate model and no simulation.
+// Simulation, power and temperature do not depend on the qualification
+// point, so exploring many T_qual values only needs one Evaluate per
+// (application, configuration).
 func (e *Env) Requalify(r Result, qual core.Qualification) (core.Assessment, error) {
-	rows := r.Epochs
-	if len(rows) == 0 {
-		if ent := e.cache.lookup(e.keyFor(r.App, r.Proc)); ent != nil && ent.err == nil {
-			rows = ent.res.Epochs
-		}
+	if r.Exposure == nil {
+		return core.Assessment{}, fmt.Errorf("exp: Requalify %s/%s: no RAMP exposure (result was not produced by Evaluate)", r.App, r.Proc.Name)
 	}
-	if len(rows) == 0 {
-		return core.Assessment{}, fmt.Errorf("exp: Requalify %s/%s: no epoch rows (result predates this Env or was never evaluated here)", r.App, r.Proc.Name)
-	}
-	engine, err := core.NewEngine(e.FP, e.Params, qual)
+	b, err := core.NewBudget(e.FP, e.Params, qual)
 	if err != nil {
 		return core.Assessment{}, err
 	}
-	engine.SetTimers(e.fitTimers)
-	on := power.OnFractions(r.Proc, e.Base)
-	for i := range rows {
-		row := &rows[i]
-		iv := core.Interval{DurationSec: row.Sim.TimeSec}
-		for s := floorplan.Structure(0); s < floorplan.NumStructures; s++ {
-			iv.Structures[s] = core.Conditions{
-				TempK:      row.TempK[s],
-				VddV:       r.Proc.VddV,
-				FreqHz:     r.Proc.FreqHz,
-				Activity:   row.Sim.Activity[s],
-				OnFraction: on[s],
-			}
-		}
-		if err := engine.Observe(iv); err != nil {
-			return core.Assessment{}, err
-		}
-	}
-	return engine.Assess()
-}
-
-// RequalifyAll requalifies every result against one qualification point
-// and returns the assessments in input order. Requalification is
-// independent per result (each call builds its own RAMP engine over
-// read-only epoch rows), so the batch runs on the same bounded worker
-// pool as EvaluateAll; a Select over a full ArchDVS sweep re-assesses
-// hundreds of candidates per T_qual and this is its hot loop.
-func (e *Env) RequalifyAll(results []Result, qual core.Qualification) ([]core.Assessment, error) {
-	return e.RequalifyAllCtx(context.Background(), results, qual)
-}
-
-// RequalifyAllCtx is RequalifyAll with cancellation: workers stop
-// picking up candidates once ctx is done and the batch returns ctx's
-// error instead of partial assessments.
-func (e *Env) RequalifyAllCtx(ctx context.Context, results []Result, qual core.Qualification) ([]core.Assessment, error) {
-	assessments := make([]core.Assessment, len(results))
-	errs := make([]error, len(results))
-	//rampvet:ignore ctxflow -- cancellation granularity is the job boundary: runPool checks ctx between candidates, and one Requalify is bounded CPU work
-	run := func(i int) { assessments[i], errs[i] = e.Requalify(results[i], qual) }
-	if err := runPool(ctx, len(results), run); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("exp: requalify %d (%s/%s): %w", i, results[i].App, results[i].Proc.Name, err)
-		}
-	}
-	return assessments, nil
+	return b.Assess(r.Exposure), nil
 }
 
 // runPool drains n indexed jobs through a bounded worker pool — never

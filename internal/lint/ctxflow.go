@@ -12,15 +12,15 @@ import (
 // context.Context.
 //
 // The rampserve deadlines only work because cancellation is threaded
-// from the HTTP handler down to the epoch boundary: EvaluateCtx,
-// SweepCtx and RequalifyAllCtx all check ctx and stop simulating within
-// one epoch. A function that takes a ctx and then calls a long-running
+// from the HTTP handler down to the epoch boundary: EvaluateCtx and
+// SweepCtx check ctx and stop simulating within one epoch, and SelectCtx
+// checks it between candidates. A function that takes a ctx and then calls a long-running
 // entry point through its non-ctx variant (Evaluate instead of
 // EvaluateCtx) silently severs that chain — the caller's deadline
 // expires but the simulation burns to completion. Two checks:
 //
 //   - severed call: a ctx-bearing function calls a long-running
-//     function (name-prefixed Evaluate/Sweep/Requalify/Simulate, or a
+//     function (name-prefixed Evaluate/Sweep/Simulate, or a
 //     local helper whose call graph reaches one) without passing any
 //     context argument; when a "<name>Ctx" sibling exists the message
 //     names it.
@@ -40,9 +40,10 @@ var CtxFlow = &Analyzer{
 }
 
 // longRunPrefixes name this repo's long-running entry points: full
-// evaluations, adaptation-space sweeps, batch requalifications and raw
-// simulation runs — everything that loops over epochs or candidates.
-var longRunPrefixes = []string{"Evaluate", "Sweep", "Requalify", "Simulate"}
+// evaluations, adaptation-space sweeps and raw simulation runs —
+// everything that simulates. A requalification is a sub-microsecond
+// arithmetic pass over a recorded exposure, so it is not one.
+var longRunPrefixes = []string{"Evaluate", "Sweep", "Simulate"}
 
 func runCtxFlow(pass *Pass) error {
 	g := flow.BuildGraph(pass.Files, pass.Info)

@@ -224,7 +224,6 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 		}
 		var policies []fleet.Policy
 		for _, tq := range req.TqualsK {
-			//rampvet:ignore ctxflow -- cancellation granularity is the job boundary: one Requalify over cached epoch rows is bounded CPU work (at most fleetMaxTquals of them), and fleet.Run checks ctx per shard immediately after
 			a, err := s.env.Requalify(res, s.env.Qualification(tq))
 			if err != nil {
 				jobErr = err
