@@ -308,8 +308,9 @@ func NewBudget(fp *floorplan.Floorplan, p Params, q Qualification) (Budget, erro
 		b.QualRate[m] = r
 	}
 	perMech := q.TargetFIT / float64(NumMechanisms)
+	total := fp.TotalAreaMM2()
 	for s := floorplan.Structure(0); s < floorplan.NumStructures; s++ {
-		frac := fp.AreaFraction(s)
+		frac := fp.AreaMM2(s) / total // fp.AreaFraction(s), summing the total once
 		for m := range b.Alloc[s] {
 			b.Alloc[s][m] = perMech * frac
 		}

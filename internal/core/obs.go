@@ -6,9 +6,8 @@ import "ramp/internal/obs"
 // mechanism's rate model, in nanoseconds, across every exposure recorded
 // with them and every Observe/Assess of an engine they are attached to.
 // Budget.Assess evaluates no rate model, so requalification adds
-// nothing. The counters answer the
-// profiling question pprof flattens away: of the RAMP arithmetic, how
-// much goes to EM vs SM vs TDDB vs TC?
+// nothing. The counters answer the profiling question pprof flattens
+// away: of the RAMP arithmetic, how much goes to EM vs SM vs TDDB vs TC?
 type FITTimers struct {
 	EM, SM, TDDB, TC *obs.Counter
 }
