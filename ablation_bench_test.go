@@ -6,11 +6,15 @@
 package ramp_test
 
 import (
+	"math"
 	"testing"
 
 	"ramp"
+	"ramp/internal/config"
+	"ramp/internal/core"
 	"ramp/internal/drm"
 	"ramp/internal/exp"
+	"ramp/internal/power"
 	"ramp/internal/trace"
 )
 
@@ -117,34 +121,81 @@ func BenchmarkAblationControlPolicy(b *testing.B) {
 // powered-down area contributes no EM/TDDB failures: the same downsized
 // configuration with and without the credit.
 func BenchmarkAblationGatingFITCredit(b *testing.B) {
+	env, small, budget := gatingCreditSetup(b)
+	full := power.Ones()
+	var with, without float64
+	for i := 0; i < b.N; i++ {
+		r, err := env.Evaluate(trace.Bzip2(), small, env.Qualification(gatingCreditTqualK))
+		if err != nil {
+			b.Fatal(err)
+		}
+		with = r.FIT()
+		without = budget.Assess(exposureAt(b, env, r, full)).TotalFIT
+	}
+	if without <= with {
+		b.Fatalf("FIT without the gating credit = %.1f, with it = %.1f: the credit should lower FIT", without, with)
+	}
+	b.ReportMetric(with, "FIT-with-gating-credit")
+	b.ReportMetric(without, "FIT-without-credit")
+}
+
+// TestGatingFITCredit keeps the ablation above honest: re-recording the
+// run with its own on-fractions reproduces Evaluate's FIT bit for bit,
+// and re-recording it fully powered raises the FIT.
+func TestGatingFITCredit(t *testing.T) {
+	env, small, budget := gatingCreditSetup(t)
+	r, err := env.Evaluate(trace.Bzip2(), small, env.Qualification(gatingCreditTqualK))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := budget.Assess(exposureAt(t, env, r, power.OnFractions(small, env.Base))).TotalFIT; math.Float64bits(got) != math.Float64bits(r.FIT()) {
+		t.Fatalf("re-recorded FIT with the run's on-fractions = %v, Evaluate's = %v", got, r.FIT())
+	}
+	if without := budget.Assess(exposureAt(t, env, r, power.Ones())).TotalFIT; without <= r.FIT() {
+		t.Fatalf("FIT without the gating credit = %v, with it = %v: the credit should lower FIT", without, r.FIT())
+	}
+}
+
+// gatingCreditTqualK is the gating-credit ablation's qualification
+// temperature.
+const gatingCreditTqualK = 370
+
+// gatingCreditSetup returns the gating-credit ablation's environment, its
+// downsized configuration and the budget at gatingCreditTqualK.
+func gatingCreditSetup(tb testing.TB) (*exp.Env, config.Proc, core.Budget) {
 	env := exp.NewEnv(exp.QuickOptions())
-	qual := env.Qualification(370)
 	small := env.Base
 	small.WindowSize = 32
 	small.IntALUs = 2
 	small.FPUs = 1
 	small.Name = "w32-a2-f1"
-
-	var with, without float64
-	for i := 0; i < b.N; i++ {
-		r, err := env.Evaluate(trace.Bzip2(), small, qual)
-		if err != nil {
-			b.Fatal(err)
-		}
-		with = r.FIT()
-		// Without the credit: re-run RAMP pretending everything stayed
-		// powered (recompute with the base machine's on-fractions by
-		// evaluating the result rows as if proc were base-sized).
-		fullOn := r
-		fullOn.Proc.WindowSize = env.Base.WindowSize
-		fullOn.Proc.IntALUs = env.Base.IntALUs
-		fullOn.Proc.FPUs = env.Base.FPUs
-		a, err := env.Requalify(fullOn, qual)
-		if err != nil {
-			b.Fatal(err)
-		}
-		without = a.TotalFIT
+	budget, err := core.NewBudget(env.FP, env.Params, env.Qualification(gatingCreditTqualK))
+	if err != nil {
+		tb.Fatal(err)
 	}
-	b.ReportMetric(with, "FIT-with-gating-credit")
-	b.ReportMetric(without, "FIT-without-credit")
+	return env, small, budget
+}
+
+// exposureAt records r's RAMP exposure again from its epoch rows, with
+// the given per-structure on-fractions in place of those Evaluate used;
+// temperatures, activity, Vdd and f are the run's.
+func exposureAt(tb testing.TB, env *exp.Env, r exp.Result, on power.Vector) *core.Exposure {
+	x, err := core.NewExposure(env.Params, len(r.Epochs), nil, func(i int) core.Interval {
+		row := &r.Epochs[i]
+		iv := core.Interval{DurationSec: row.Sim.TimeSec}
+		for s := range iv.Structures {
+			iv.Structures[s] = core.Conditions{
+				TempK:      row.TempK[s],
+				VddV:       r.Proc.VddV,
+				FreqHz:     r.Proc.FreqHz,
+				Activity:   row.Sim.Activity[s],
+				OnFraction: on[s],
+			}
+		}
+		return iv
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return x
 }

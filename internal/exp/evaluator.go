@@ -490,6 +490,11 @@ func maxAbsDelta(a, b power.Vector) float64 {
 // Simulation, power and temperature do not depend on the qualification
 // point, so exploring many T_qual values only needs one Evaluate per
 // (application, configuration).
+//
+// The operating conditions — on-fractions, Vdd, f, temperatures and
+// activity — are those recorded in the exposure when r was evaluated;
+// r.Proc and r.Epochs are not consulted. To assess the run under other
+// conditions, record a new exposure with core.NewExposure.
 func (e *Env) Requalify(r Result, qual core.Qualification) (core.Assessment, error) {
 	if r.Exposure == nil {
 		return core.Assessment{}, fmt.Errorf("exp: Requalify %s/%s: no RAMP exposure (result was not produced by Evaluate)", r.App, r.Proc.Name)
