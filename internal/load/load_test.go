@@ -192,6 +192,27 @@ func TestWritePlanDeterministic(t *testing.T) {
 	}
 }
 
+// TestWritePlanStreamHash pins the arrival and body stream of a spike
+// profile bit for bit: the hash covers every offset, route and body the
+// schedule and sampler draw, so any change to the PRNG shows here.
+func TestWritePlanStreamHash(t *testing.T) {
+	p, err := ParseProfile("spike:2000,20000@1s+500ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ParseMix("evaluate=8,sweep=1,fleet=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := WritePlan(&sb, 7, 5000, p, m); err != nil {
+		t.Fatal(err)
+	}
+	if want := "stream fnv64a 2d4df15a9b084664\n"; !strings.HasSuffix(sb.String(), want) {
+		t.Fatalf("plan stream changed, want %q:\n%s", want, sb.String())
+	}
+}
+
 // fakeRampserve mimics the slice of rampserve's contract the harness
 // depends on: the three POST routes plus the /metrics JSON counters.
 // status picks the response code for the i-th handled request.
