@@ -188,28 +188,19 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkThermalSolve measures one quasi-steady thermal solve.
-func BenchmarkThermalSolve(b *testing.B) {
-	env := quickEnv()
-	pw := powerVector(2.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		env.Thermal.QuasiSteady(pw, 340)
-	}
-}
-
 // BenchmarkThermalQuasiSteady measures the pre-factorized quasi-steady
-// solve — the innermost call of every evaluation — and reports
-// allocations, which must be zero (the matrix is factorized once at
-// construction; each call is two triangular substitutions on the
-// stack).
+// solve on the single core (the one-core die) — the innermost call of
+// every evaluation — and reports allocations, which must be zero (the
+// matrix is factorized once at construction; each call is two
+// triangular substitutions in the caller's buffer).
 func BenchmarkThermalQuasiSteady(b *testing.B) {
 	env := quickEnv()
 	pw := powerVector(2.5)
+	x := make([]float64, env.Thermal.Nodes()-1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env.Thermal.QuasiSteady(pw, 340)
+		env.Thermal.QuasiSteadyInto(x, pw[:], 340)
 	}
 }
 

@@ -8,7 +8,7 @@
 //
 //   - Default build: every function is an empty no-op that the compiler
 //     inlines away. Instrumented hot paths (core.Rate,
-//     thermal.QuasiSteady, power.Compute, ...) pay nothing — zero time,
+//     thermal.QuasiSteadyInto, power.ComputeInto, ...) pay nothing — zero time,
 //     zero allocations (verified by TestNoOpAllocs).
 //   - `go build -tags rampdebug` / `go test -tags rampdebug`: every
 //     function verifies its invariant and panics with the failing site
@@ -20,7 +20,7 @@
 // time what static analysis cannot (values computed from data).
 //
 // Convention: `site` is a short dotted path naming the instrumented
-// location ("core.Params.Rate", "thermal.QuasiSteady") so a violation
+// location ("core.Params.Rate", "thermal.QuasiSteadyInto") so a violation
 // panic identifies the site without a debugger.
 package check
 

@@ -62,5 +62,5 @@ func TestViolationsFire(t *testing.T) {
 // TestSiteInMessage verifies the panic names the instrumented site, the
 // property that makes a field failure diagnosable without a debugger.
 func TestSiteInMessage(t *testing.T) {
-	mustPanic(t, "thermal.QuasiSteady", func() { check.TempK("thermal.QuasiSteady", 25) })
+	mustPanic(t, "thermal.QuasiSteadyInto", func() { check.TempK("thermal.QuasiSteadyInto", 25) })
 }

@@ -111,9 +111,9 @@ func TestRequalifyDoesNotMutateCachedRows(t *testing.T) {
 }
 
 // TestEpochFixedPointZeroAlloc is the allocation budget for the per-epoch
-// power/thermal fixed point: the Env-owned scratch state must make
-// EpochConditions (and the epochFixedPoint under it) allocation-free,
-// since reactive controllers call it every control epoch.
+// power/thermal fixed point: EpochConditions (and the DieFixedPoint under
+// it, solving in stack buffers) must be allocation-free, since reactive
+// controllers call it every control epoch.
 func TestEpochFixedPointZeroAlloc(t *testing.T) {
 	env := quickEnv()
 	var activity [floorplan.NumStructures]float64

@@ -107,7 +107,7 @@ type Env struct {
 	Base    config.Proc
 	FP      *floorplan.Floorplan
 	Power   *power.Model
-	Thermal *thermal.Model
+	Thermal *thermal.Model // the one-core die of FP
 	Params  core.Params
 	Opts    Options
 
@@ -138,7 +138,7 @@ func NewEnv(opts Options) *Env {
 		Base:    config.Base(),
 		FP:      fp,
 		Power:   power.NewModel(fp, tech),
-		Thermal: thermal.MustNew(fp, thermal.DefaultParams(tech.AmbientK)),
+		Thermal: thermal.MustNew(floorplan.MustNewDie(fp, 1), thermal.DefaultParams(tech.AmbientK)),
 		Params:  core.DefaultParams(core.TCAmbientK),
 		Opts:    opts,
 	}
@@ -153,7 +153,7 @@ func NewCustomEnv(tech config.Tech, base config.Proc, fp *floorplan.Floorplan, b
 		Base:    base,
 		FP:      fp,
 		Power:   power.NewModelWithBudget(fp, tech, budget),
-		Thermal: thermal.MustNew(fp, thermal.DefaultParams(tech.AmbientK)),
+		Thermal: thermal.MustNew(floorplan.MustNewDie(fp, 1), thermal.DefaultParams(tech.AmbientK)),
 		Params:  core.DefaultParams(core.TCAmbientK),
 		Opts:    opts,
 	}
@@ -348,6 +348,12 @@ func (e *Env) evaluate(ctx context.Context, app trace.Profile, proc config.Proc,
 	}
 
 	on := power.OnFractions(proc, e.Base)
+	var (
+		act   power.Vector
+		acts  = []*power.Vector{&act}
+		temps [floorplan.NumStructures + 1]float64 // the blocks, then the spreader
+		prev  power.Vector
+	)
 
 	// Heat-sink passes: estimate average power, derive the sink
 	// steady-state temperature, recompute temperatures, repeat.
@@ -363,14 +369,15 @@ func (e *Env) evaluate(ctx context.Context, app trace.Profile, proc config.Proc,
 			}
 			row := &epochs[i]
 			_, fs := e.Trace.Start(passCtx, "exp.fixedpoint")
-			var iters int
-			row.TempK, row.PowerW, iters = e.epochFixedPoint(row.Sim.Activity, on, proc, sinkK)
+			act = row.Sim.Activity
+			iters := e.DieFixedPoint(e.Thermal, acts, &on, proc.VddV, proc.FreqHz, sinkK, temps[:], prev[:], row.PowerW[:])
+			copy(row.TempK[:], temps[:])
 			fs.AnnotateInt("epoch", int64(i))
 			fs.AnnotateInt("iters", int64(iters))
 			fs.End()
 			e.obs.fpIters.Observe(int64(iters))
 			row.TotalW = row.PowerW.Sum()
-			_, row.MaxTempK = thermal.MaxBlock(row.TempK)
+			row.MaxTempK = e.Thermal.MaxCoreTemp(temps[:], 0)
 			wSum += row.TotalW * row.Sim.TimeSec
 			tSum += row.Sim.TimeSec
 		}
@@ -434,47 +441,65 @@ func (e *Env) evaluate(ctx context.Context, app trace.Profile, proc config.Proc,
 }
 
 // EpochConditions iterates the leakage-temperature feedback for one
-// epoch — temperatures determine leakage, leakage determines power,
-// power determines temperatures — and returns the per-structure
-// temperatures and powers. It is the building block reactive controllers
-// use to evaluate epochs online.
+// epoch of the single core — temperatures determine leakage, leakage
+// determines power, power determines temperatures — and returns the
+// per-structure temperatures and powers. It is the building block
+// reactive controllers use to evaluate epochs online.
 func (e *Env) EpochConditions(activity [floorplan.NumStructures]float64, on power.Vector, proc config.Proc, sinkK float64) (temps, pw power.Vector) {
-	temps, pw, _ = e.epochFixedPoint(activity, on, proc, sinkK)
+	act := power.Vector(activity)
+	var x [floorplan.NumStructures + 1]float64 // the blocks, then the spreader
+	var prev power.Vector
+	e.DieFixedPoint(e.Thermal, []*power.Vector{&act}, &on, proc.VddV, proc.FreqHz, sinkK, x[:], prev[:], pw[:])
+	copy(temps[:], x[:])
 	return temps, pw
 }
 
-// epochFixedPoint iterates the leakage-temperature feedback for one
-// epoch: temperatures determine leakage, leakage determines power,
-// power determines temperatures. With Options.TolK > 0 the loop exits as
-// soon as the update is converged below the tolerance; LeakageIters is
-// always an upper bound, so the adaptive exit can only skip iterations
-// whose effect would be under TolK. The returned iteration count feeds
-// the exp_fixedpoint_iters histogram and span annotations.
+// DieFixedPoint iterates the leakage-temperature feedback of one epoch
+// on the die of m at one operating point (vdd, f) with the sink pinned
+// at sinkK: temperatures determine leakage, leakage determines power,
+// power determines temperatures. acts holds each core's activity and on
+// the powered-on fractions every core shares. temps (m.Nodes()-1
+// entries: the blocks, then the spreader) receives the temperatures and
+// pw (m.NumBlocks() entries) the block powers that produced them; prev
+// (m.NumBlocks() entries) is scratch for the convergence test. With
+// Options.TolK > 0 the loop exits as soon as the largest block update
+// falls below the tolerance; LeakageIters is always an upper bound, so
+// the adaptive exit can only skip iterations whose effect would be under
+// TolK. It returns the iteration count, which feeds the
+// exp_fixedpoint_iters histogram and span annotations.
+//
+// The single-core evaluation, EpochConditions and the manycore
+// scheduler all run this one loop; the single core is the one-core die.
 //
 //ramp:hot
-func (e *Env) epochFixedPoint(activity [floorplan.NumStructures]float64, on power.Vector, proc config.Proc, sinkK float64) (temps, pw power.Vector, iters int) {
-	var act power.Vector
-	copy(act[:], activity[:])
-	temps = power.Uniform(sinkK + 15)
+func (e *Env) DieFixedPoint(m *thermal.Model, acts []*power.Vector, on *power.Vector, vdd, f, sinkK float64, temps, prev, pw []float64) int {
+	nb := m.NumBlocks()
+	ns := int(floorplan.NumStructures)
+	for i := 0; i < nb; i++ {
+		temps[i] = sinkK + 15
+	}
 	limit := max(1, e.Opts.LeakageIters)
 	tol := e.Opts.TolK
-	for i := 0; i < limit; i++ {
-		pw = e.Power.Compute(act, on, temps, proc.VddV, proc.FreqHz)
-		next := e.Thermal.QuasiSteady(pw, sinkK)
-		converged := tol > 0 && maxAbsDelta(next, temps) < tol
-		temps = next
-		iters = i + 1
-		if converged {
+	iters := 0
+	for iters < limit {
+		for c, act := range acts {
+			lo := c * ns
+			e.Power.ComputeInto(pw[lo:lo+ns], *act, *on, temps[lo:lo+ns], vdd, f)
+		}
+		copy(prev, temps[:nb])
+		m.QuasiSteadyInto(temps, pw, sinkK)
+		iters++
+		if tol > 0 && maxAbsDelta(temps[:nb], prev) < tol {
 			break
 		}
 	}
-	return temps, pw, iters
+	return iters
 }
 
 // maxAbsDelta returns the largest per-component absolute difference.
 //
 //ramp:hot
-func maxAbsDelta(a, b power.Vector) float64 {
+func maxAbsDelta(a, b []float64) float64 {
 	var m float64
 	for i := range a {
 		if d := math.Abs(a[i] - b[i]); d > m {

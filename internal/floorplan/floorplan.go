@@ -6,15 +6,13 @@
 // 4.5 mm x 4.5 mm (20.25 mm^2) die. The core is divided into the discrete
 // microarchitectural structures RAMP reasons about: ALUs, FPUs, register
 // files, branch predictor, L1 caches, load-store queue and instruction
-// window (Section 3). Geometry is expressed as axis-aligned rectangles;
-// block adjacency (shared edge length) is derived from the rectangles and
-// feeds the lateral thermal resistances of the RC model.
+// window (Section 3). Geometry is expressed as axis-aligned rectangles.
+// A Die tiles one or more copies of a floorplan; its block adjacency
+// (shared edge length) is derived from the rectangles and feeds the
+// lateral thermal resistances of the RC model.
 package floorplan
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Structure identifies one microarchitectural structure on the die.
 type Structure int
@@ -94,19 +92,11 @@ type Block struct {
 	Rect      Rect
 }
 
-// Adjacency records that two blocks share an edge of the given length.
-type Adjacency struct {
-	A, B       Structure
-	SharedMM   float64 // length of the shared edge, mm
-	CenterDist float64 // centre-to-centre distance, mm
-}
-
 // Floorplan is a complete die floorplan.
 type Floorplan struct {
 	DieWidthMM  float64
 	DieHeightMM float64
 	Blocks      [NumStructures]Block
-	adjacencies []Adjacency
 }
 
 // R10000Like returns the floorplan used throughout the paper's
@@ -133,7 +123,6 @@ func R10000Like() *Floorplan {
 	place(FPU, 2.7, 0.9, 4.5, 1.8)
 	// Bottom band: data cache.
 	place(L1D, 0.0, 0.0, 4.5, 0.9)
-	fp.computeAdjacencies()
 	return fp
 }
 
@@ -158,7 +147,6 @@ func (fp *Floorplan) Scale(factor float64) (*Floorplan, error) {
 			},
 		}
 	}
-	out.computeAdjacencies()
 	return out, nil
 }
 
@@ -212,35 +200,7 @@ func (fp *Floorplan) AreaFraction(s Structure) float64 {
 	return fp.AreaMM2(s) / fp.TotalAreaMM2()
 }
 
-// Adjacencies returns every pair of blocks that share an edge, with the
-// shared edge length and centre distance used to build lateral thermal
-// resistances.
-func (fp *Floorplan) Adjacencies() []Adjacency {
-	return fp.adjacencies
-}
-
 const adjacencyEps = 1e-9
-
-func (fp *Floorplan) computeAdjacencies() {
-	fp.adjacencies = fp.adjacencies[:0]
-	for i := 0; i < int(NumStructures); i++ {
-		for j := i + 1; j < int(NumStructures); j++ {
-			a, b := fp.Blocks[i].Rect, fp.Blocks[j].Rect
-			shared := sharedEdge(a, b)
-			if shared <= adjacencyEps {
-				continue
-			}
-			dx := a.CenterX() - b.CenterX()
-			dy := a.CenterY() - b.CenterY()
-			fp.adjacencies = append(fp.adjacencies, Adjacency{
-				A:          Structure(i),
-				B:          Structure(j),
-				SharedMM:   shared,
-				CenterDist: math.Hypot(dx, dy),
-			})
-		}
-	}
-}
 
 // sharedEdge returns the length of the boundary shared by two
 // non-overlapping rectangles (0 if they only touch at a corner or not at

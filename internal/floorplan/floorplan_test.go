@@ -53,14 +53,19 @@ func TestStructuresList(t *testing.T) {
 	}
 }
 
+// The adjacency tests below read the paper's single core, the one-core
+// die.
+
 func TestAdjacencySymmetricAndPositive(t *testing.T) {
-	fp := R10000Like()
-	adj := fp.Adjacencies()
+	adj := MustNewDie(R10000Like(), 1).Adjacencies()
 	if len(adj) == 0 {
 		t.Fatal("no adjacencies found")
 	}
 	seen := map[[2]Structure]bool{}
 	for _, a := range adj {
+		if a.CoreA != 0 || a.CoreB != 0 {
+			t.Errorf("one-core adjacency names another core: %+v", a)
+		}
 		if a.A == a.B {
 			t.Errorf("self adjacency %v", a)
 		}
@@ -79,9 +84,8 @@ func TestAdjacencySymmetricAndPositive(t *testing.T) {
 }
 
 func TestEveryBlockHasNeighbour(t *testing.T) {
-	fp := R10000Like()
 	deg := map[Structure]int{}
-	for _, a := range fp.Adjacencies() {
+	for _, a := range MustNewDie(R10000Like(), 1).Adjacencies() {
 		deg[a.A]++
 		deg[a.B]++
 	}
@@ -93,7 +97,6 @@ func TestEveryBlockHasNeighbour(t *testing.T) {
 }
 
 func TestKnownAdjacencies(t *testing.T) {
-	fp := R10000Like()
 	want := map[[2]Structure]bool{
 		{L1I, Fetch}:   true, // side by side in the top band
 		{Fetch, BPred}: true,
@@ -101,7 +104,7 @@ func TestKnownAdjacencies(t *testing.T) {
 		{AGU, FPU}:     true,
 	}
 	found := map[[2]Structure]bool{}
-	for _, a := range fp.Adjacencies() {
+	for _, a := range MustNewDie(R10000Like(), 1).Adjacencies() {
 		found[[2]Structure{a.A, a.B}] = true
 		found[[2]Structure{a.B, a.A}] = true
 	}

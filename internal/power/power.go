@@ -113,31 +113,16 @@ func (m *Model) Leakage(s floorplan.Structure, tempK, vddV, onFrac float64) floa
 	return w
 }
 
-// Compute returns per-structure total power (dynamic + leakage) for one
-// interval.
+// ComputeInto writes per-structure total power (dynamic + leakage) for
+// one interval into out.
 //
 // activity holds per-structure activity factors; temps per-structure
 // temperatures (K); on per-structure powered-on fractions (use Ones() for
-// the base machine).
-//
-//ramp:hot
-func (m *Model) Compute(activity, on Vector, temps Vector, vddV, freqHz float64) Vector {
-	var out Vector
-	for s := floorplan.Structure(0); s < floorplan.NumStructures; s++ {
-		out[s] = m.Dynamic(s, activity[s], vddV, freqHz, on[s]) +
-			m.Leakage(s, temps[s], vddV, on[s])
-	}
-	return out
-}
-
-// ComputeInto is Compute writing into a caller-provided slice, with
-// temperatures read from a slice of the same length. It exists for the
-// manycore path, where per-block power and temperature live in flat
-// n·NumStructures slices and each core's tile is a sub-slice: the die
-// evaluation loop calls this once per core per leakage iteration with
-// no copies and no heap allocation. The arithmetic is identical to
-// Compute, so a one-core die reproduces the single-core numbers bit
-// for bit.
+// the base machine). out and temps have NumStructures entries each: on a
+// manycore die, per-block power and temperature live in flat
+// n·NumStructures slices and each core's tile is a sub-slice, so the die
+// evaluation loop calls this once per core per leakage iteration with no
+// copies and no heap allocation.
 //
 //ramp:hot
 func (m *Model) ComputeInto(out []float64, activity, on Vector, temps []float64, vddV, freqHz float64) {

@@ -88,11 +88,12 @@ func TestComputeSumsDynamicAndLeakage(t *testing.T) {
 	act := Uniform(0.3)
 	temps := Uniform(360)
 	on := Ones()
-	total := m.Compute(act, on, temps, 1.0, 4e9)
+	var total Vector
+	m.ComputeInto(total[:], act, on, temps[:], 1.0, 4e9)
 	for _, s := range floorplan.Structures() {
 		want := m.Dynamic(s, 0.3, 1.0, 4e9, 1) + m.Leakage(s, 360, 1.0, 1)
-		if math.Abs(total[s]-want) > 1e-12 {
-			t.Fatalf("Compute[%v] = %v, want %v", s, total[s], want)
+		if total[s] != want {
+			t.Fatalf("ComputeInto[%v] = %v, want %v", s, total[s], want)
 		}
 	}
 }
@@ -151,9 +152,11 @@ func clamp01(x float64) float64 {
 	return x - math.Floor(x)
 }
 
-// TestComputeIntoMatchesCompute pins the manycore tile path: ComputeInto
-// over a flat slice is bitwise identical to Compute, and allocation-free.
-func TestComputeIntoMatchesCompute(t *testing.T) {
+// TestComputeIntoTileAllocFree pins the manycore tile path: ComputeInto
+// into one core's sub-slice of a flat two-core slice writes exactly
+// Dynamic + Leakage per structure, leaves the other tile untouched and
+// allocates nothing.
+func TestComputeIntoTileAllocFree(t *testing.T) {
 	m := model()
 	var act, temps Vector
 	for s := range act {
@@ -162,16 +165,21 @@ func TestComputeIntoMatchesCompute(t *testing.T) {
 	}
 	on := Ones()
 	on[floorplan.FPU] = 0.5
-	want := m.Compute(act, on, temps, 0.95, 3.5e9)
-	out := make([]float64, floorplan.NumStructures)
-	m.ComputeInto(out, act, on, temps[:], 0.95, 3.5e9)
-	for s := range want {
-		if out[s] != want[s] {
-			t.Fatalf("ComputeInto[%d] = %v, Compute = %v", s, out[s], want[s])
+	ns := int(floorplan.NumStructures)
+	flat := make([]float64, 2*ns)
+	tile := flat[ns:]
+	m.ComputeInto(tile, act, on, temps[:], 0.95, 3.5e9)
+	for s := floorplan.Structure(0); s < floorplan.NumStructures; s++ {
+		want := m.Dynamic(s, act[s], 0.95, 3.5e9, on[s]) + m.Leakage(s, temps[s], 0.95, on[s])
+		if tile[s] != want {
+			t.Fatalf("ComputeInto[%v] = %v, want %v", s, tile[s], want)
+		}
+		if flat[s] != 0 {
+			t.Fatalf("ComputeInto wrote outside its tile at %v", s)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		m.ComputeInto(out, act, on, temps[:], 0.95, 3.5e9)
+		m.ComputeInto(tile, act, on, temps[:], 0.95, 3.5e9)
 	})
 	if allocs != 0 {
 		t.Fatalf("ComputeInto allocates %.1f times per call, want 0", allocs)

@@ -31,7 +31,6 @@ package sched
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"ramp/internal/core"
@@ -127,7 +126,7 @@ type Simulator struct {
 	env    *exp.Env
 	cfg    Config
 	die    *floorplan.Die
-	model  *thermal.DieModel
+	model  *thermal.Model
 	qual   core.Qualification
 	groups [][]int // group -> suite app indices
 
@@ -165,7 +164,7 @@ func NewCtx(ctx context.Context, env *exp.Env, cfg Config) (*Simulator, error) {
 			return nil, fmt.Errorf("sched: %s evaluation has no epoch rows (Options.DropEpochRows?)", suite[i].App)
 		}
 	}
-	model, err := thermal.NewDie(die, thermal.DieParams(env.Tech.AmbientK, cfg.NCores))
+	model, err := thermal.New(die, thermal.DieParams(env.Tech.AmbientK, cfg.NCores))
 	if err != nil {
 		return nil, err
 	}
@@ -285,6 +284,7 @@ func (s *Simulator) RunCtx(ctx context.Context, p Policy) (Result, error) {
 		migrations = s.env.Metrics.Counter("sched_migrations")
 		epochsCtr = s.env.Metrics.Counter("sched_epochs")
 	}
+	st := newRunState(s)
 	for pass := 0; pass < passes; pass++ {
 		var err error
 		engine, err = core.NewDieEngine(s.die, s.env.Params, s.qual)
@@ -294,7 +294,7 @@ func (s *Simulator) RunCtx(ctx context.Context, p Policy) (Result, error) {
 		passCtx, ps := s.env.Trace.Start(ctx, "sched.sinkpass")
 		ps.AnnotateInt("pass", int64(pass))
 		res = Result{Policy: p, NCores: s.cfg.NCores, CoreWear: make([]float64, s.cfg.NCores)}
-		st := newRunState(s)
+		st.reset()
 		var wSum float64
 		for e := 0; e < s.cfg.Epochs; e++ {
 			if err := ctx.Err(); err != nil {
@@ -346,32 +346,40 @@ func (s *Simulator) RunCtx(ctx context.Context, p Policy) (Result, error) {
 	return res, nil
 }
 
-// runState is one pass's mutable scheduling state.
+// runState is one run's mutable scheduling state, reset at the start
+// of every pass.
 type runState struct {
-	assigned  []int     // group -> core, -1 before the first epoch
-	coreOf    []int     // core -> group, -1 if idle
-	temps     []float64 // flat per-block temperatures, last solve
-	prevTemps []float64 // previous fixed-point iterate (convergence test)
-	pw        []float64 // flat per-block power scratch
-	prevMax   []float64 // per-core max temp, last epoch
+	assigned  []int           // group -> core, -1 before the first epoch
+	coreOf    []int           // core -> group, -1 if idle
+	acts      []*power.Vector // core -> activity this epoch
+	temps     []float64       // flat per-block temperatures, then the spreader, last solve
+	prevTemps []float64       // previous fixed-point iterate (convergence test)
+	pw        []float64       // flat per-block power scratch
+	prevMax   []float64       // per-core max temp, last epoch
 	ones      power.Vector
 	zero      power.Vector
 }
 
 func newRunState(s *Simulator) *runState {
-	st := &runState{
+	return &runState{
 		assigned:  make([]int, len(s.groups)),
 		coreOf:    make([]int, s.cfg.NCores),
-		temps:     make([]float64, s.die.NumBlocks()),
+		acts:      make([]*power.Vector, s.cfg.NCores),
+		temps:     make([]float64, s.model.Nodes()-1),
 		prevTemps: make([]float64, s.die.NumBlocks()),
 		pw:        make([]float64, s.die.NumBlocks()),
 		prevMax:   make([]float64, s.cfg.NCores),
 		ones:      power.Ones(),
 	}
+}
+
+// reset returns the state to the start of a pass: no group placed and
+// no core temperature measured yet.
+func (st *runState) reset() {
 	for k := range st.assigned {
 		st.assigned[k] = -1
 	}
-	return st
+	clear(st.prevMax)
 }
 
 // assign maps groups to cores for epoch e under policy p and returns
@@ -427,53 +435,26 @@ func (s *Simulator) assign(p Policy, e int, st *runState, engine *core.DieEngine
 	return moved
 }
 
-// epoch runs the leakage-temperature fixed point for one die epoch —
-// the manycore counterpart of exp's epochFixedPoint, on the tiled LU
-// system — leaving per-block temperatures in st.temps and returning the
-// converged total chip power.
+// epoch runs the leakage-temperature fixed point for one die epoch on
+// the tiled system, leaving each core's activity in st.acts and the
+// per-block temperatures in st.temps, and returns the converged total
+// chip power.
 func (s *Simulator) epoch(e int, st *runState, sinkK float64) float64 {
-	nb := s.die.NumBlocks()
-	ns := int(floorplan.NumStructures)
-	for i := 0; i < nb; i++ {
-		st.temps[i] = sinkK + 15
+	for c, grp := range st.coreOf {
+		st.acts[c] = &st.zero
+		if grp >= 0 {
+			st.acts[c] = &s.demand[e][grp].act
+		}
 	}
-	limit := max(1, s.env.Opts.LeakageIters)
-	tol := s.env.Opts.TolK
+	s.env.DieFixedPoint(s.model, st.acts, &st.ones, s.env.Base.VddV, s.env.Base.FreqHz, sinkK, st.temps, st.prevTemps, st.pw)
 	var totalW float64
-	for it := 0; it < limit; it++ {
-		totalW = 0
-		for c := 0; c < s.cfg.NCores; c++ {
-			act := &st.zero
-			if grp := st.coreOf[c]; grp >= 0 {
-				act = &s.demand[e][grp].act
-			}
-			lo := c * ns
-			s.env.Power.ComputeInto(st.pw[lo:lo+ns], *act, st.ones, st.temps[lo:lo+ns], s.env.Base.VddV, s.env.Base.FreqHz)
-		}
-		for i := 0; i < nb; i++ {
-			totalW += st.pw[i]
-		}
-		copy(st.prevTemps, st.temps)
-		s.model.QuasiSteadyInto(st.temps, st.pw, sinkK)
-		if tol > 0 && maxAbsDelta(st.temps, st.prevTemps) < tol {
-			break
-		}
+	for _, w := range st.pw {
+		totalW += w
 	}
-	for c := 0; c < s.cfg.NCores; c++ {
+	for c := range st.prevMax {
 		st.prevMax[c] = s.model.MaxCoreTemp(st.temps, c)
 	}
 	return totalW
-}
-
-// maxAbsDelta returns the largest per-component absolute difference.
-func maxAbsDelta(a, b []float64) float64 {
-	var m float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // observe folds epoch e into every core's wear accumulator.
@@ -482,13 +463,7 @@ func (s *Simulator) observe(e int, st *runState, engine *core.DieEngine) error {
 	dur := s.epochs[e]
 	var iv core.Interval
 	iv.DurationSec = dur
-	for c := 0; c < s.cfg.NCores; c++ {
-		var act *power.Vector
-		if grp := st.coreOf[c]; grp >= 0 {
-			act = &s.demand[e][grp].act
-		} else {
-			act = &st.zero
-		}
+	for c, act := range st.acts {
 		lo := c * ns
 		for i := 0; i < ns; i++ {
 			iv.Structures[i] = core.Conditions{

@@ -8,13 +8,24 @@ import (
 	"ramp/internal/power"
 )
 
+// model is the paper's single core: the one-core die.
 func model() *Model {
-	return MustNew(floorplan.R10000Like(), DefaultParams(313))
+	return MustNew(floorplan.MustNewDie(floorplan.R10000Like(), 1), DefaultParams(313))
+}
+
+// quasiSteady solves the one-core model with the sink pinned and
+// returns the block temperatures.
+func quasiSteady(m *Model, pw power.Vector, sinkK float64) power.Vector {
+	var x [floorplan.NumStructures + 1]float64 // the blocks, then the spreader
+	m.QuasiSteadyInto(x[:], pw[:], sinkK)
+	var out power.Vector
+	copy(out[:], x[:])
+	return out
 }
 
 func TestZeroPowerIsAmbient(t *testing.T) {
 	m := model()
-	temps := m.SteadyState(power.Vector{})
+	temps := m.SteadyState(make([]float64, floorplan.NumStructures))
 	for i, temp := range temps {
 		if math.Abs(temp-313) > 1e-6 {
 			t.Fatalf("node %d at %v K with zero power", i, temp)
@@ -27,7 +38,7 @@ func TestSinkTempEnergyConservation(t *testing.T) {
 	// In steady state all generated heat flows through the sink's
 	// convection resistance: T_sink = T_amb + P_total * R_sink.
 	pw := power.Uniform(2.0) // 22 W total
-	temps := m.SteadyState(pw)
+	temps := m.SteadyState(pw[:])
 	sink := temps[len(temps)-1]
 	want := m.SinkSteadyTemp(pw.Sum())
 	if math.Abs(sink-want) > 1e-6 {
@@ -38,7 +49,7 @@ func TestSinkTempEnergyConservation(t *testing.T) {
 func TestTemperatureOrdering(t *testing.T) {
 	m := model()
 	pw := power.Uniform(2.0)
-	temps := m.SteadyState(pw)
+	temps := m.SteadyState(pw[:])
 	sink := temps[len(temps)-1]
 	spreader := temps[len(temps)-2]
 	if !(spreader > sink && sink > 313) {
@@ -59,7 +70,7 @@ func TestPowerDensityDrivesHotspots(t *testing.T) {
 	var pw power.Vector
 	pw[floorplan.AGU] = 3 // 0.81 mm^2
 	pw[floorplan.L1D] = 3 // 4.05 mm^2
-	temps := m.SteadyState(pw)
+	temps := m.SteadyState(pw[:])
 	if temps[floorplan.AGU] <= temps[floorplan.L1D] {
 		t.Fatalf("denser block not hotter: AGU %v (%.2fmm2) vs L1D %v (%.2fmm2)",
 			temps[floorplan.AGU], fp.AreaMM2(floorplan.AGU),
@@ -71,7 +82,7 @@ func TestLateralCouplingWarmsNeighbours(t *testing.T) {
 	m := model()
 	var pw power.Vector
 	pw[floorplan.IntALU] = 10
-	temps := m.SteadyState(pw)
+	temps := m.SteadyState(pw[:])
 	// AGU is adjacent to IntALU; BPred is across the die.
 	if temps[floorplan.AGU] <= temps[floorplan.BPred] {
 		t.Fatalf("adjacent block not warmer: AGU %v vs BPred %v",
@@ -82,9 +93,9 @@ func TestLateralCouplingWarmsNeighbours(t *testing.T) {
 func TestQuasiSteadyMatchesSteadyState(t *testing.T) {
 	m := model()
 	pw := power.Uniform(2.5)
-	full := m.SteadyState(pw)
+	full := m.SteadyState(pw[:])
 	sink := full[len(full)-1]
-	qs := m.QuasiSteady(pw, sink)
+	qs := quasiSteady(m, pw, sink)
 	for s := 0; s < int(floorplan.NumStructures); s++ {
 		if math.Abs(qs[s]-full[s]) > 1e-6 {
 			t.Fatalf("block %v: quasi %v vs full %v", floorplan.Structure(s), qs[s], full[s])
@@ -95,11 +106,11 @@ func TestQuasiSteadyMatchesSteadyState(t *testing.T) {
 func TestTransientConvergesToSteadyState(t *testing.T) {
 	m := model()
 	pw := power.Uniform(2.0)
-	want := m.SteadyState(pw)
+	want := m.SteadyState(pw[:])
 	st := m.NewState(313)
 	// Sink time constant is ~R*C = 0.6*140 = 84 s; integrate well past it.
 	for i := 0; i < 3000; i++ {
-		st.Step(pw, 0.5)
+		st.Step(pw[:], 0.5)
 	}
 	got := st.Temps()
 	for i := range want {
@@ -114,7 +125,7 @@ func TestTransientBlocksFasterThanSink(t *testing.T) {
 	pw := power.Uniform(2.0)
 	st := m.NewState(313)
 	for i := 0; i < 100; i++ {
-		st.Step(pw, 0.001) // 100 ms total
+		st.Step(pw[:], 0.001) // 100 ms total
 	}
 	blocks := st.BlockTemps()
 	// Blocks warm within milliseconds; the sink barely moves.
@@ -133,8 +144,8 @@ func TestImplicitEulerStableWithHugeStep(t *testing.T) {
 	m := model()
 	pw := power.Uniform(2.0)
 	st := m.NewState(313)
-	st.Step(pw, 1e6) // one enormous step lands on the steady state
-	want := m.SteadyState(pw)
+	st.Step(pw[:], 1e6) // one enormous step lands on the steady state
+	want := m.SteadyState(pw[:])
 	got := st.Temps()
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 0.2 {
@@ -150,7 +161,7 @@ func TestStepPanicsOnBadDt(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	st.Step(power.Vector{}, 0)
+	st.Step(make([]float64, floorplan.NumStructures), 0)
 }
 
 func TestNewStateFrom(t *testing.T) {
@@ -158,13 +169,14 @@ func TestNewStateFrom(t *testing.T) {
 	if _, err := m.NewStateFrom([]float64{1, 2}); err == nil {
 		t.Fatal("wrong-length state accepted")
 	}
-	init := m.SteadyState(power.Uniform(1))
+	one := power.Uniform(1)
+	init := m.SteadyState(one[:])
 	st, err := m.NewStateFrom(init)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Already at steady state: a step must not move it.
-	st.Step(power.Uniform(1), 1.0)
+	st.Step(one[:], 1.0)
 	got := st.Temps()
 	for i := range init {
 		if math.Abs(got[i]-init[i]) > 1e-6 {
@@ -176,18 +188,23 @@ func TestNewStateFrom(t *testing.T) {
 func TestNewRejectsBadParams(t *testing.T) {
 	p := DefaultParams(313)
 	p.SinkRKW = 0
-	if _, err := New(floorplan.R10000Like(), p); err == nil {
+	if _, err := New(floorplan.MustNewDie(floorplan.R10000Like(), 1), p); err == nil {
 		t.Fatal("bad params accepted")
 	}
 }
 
-func TestMaxBlock(t *testing.T) {
-	var v power.Vector
-	v[floorplan.FPU] = 400
-	v[floorplan.L1I] = 350
-	s, temp := MaxBlock(v)
-	if s != floorplan.FPU || temp != 400 {
-		t.Fatalf("MaxBlock = %v %v", s, temp)
+func TestMaxCoreTemp(t *testing.T) {
+	m := MustNew(floorplan.MustNewDie(floorplan.R10000Like(), 2), DieParams(313, 2))
+	temps := make([]float64, m.Nodes()-1)
+	temps[floorplan.FPU] = 400
+	temps[floorplan.L1I] = 350
+	temps[m.Die().Index(1, floorplan.Fetch)] = 380
+	temps[m.NumBlocks()] = 500 // the spreader belongs to no core
+	if got := m.MaxCoreTemp(temps, 0); got != 400 {
+		t.Fatalf("MaxCoreTemp(core 0) = %v, want 400", got)
+	}
+	if got := m.MaxCoreTemp(temps, 1); got != 380 {
+		t.Fatalf("MaxCoreTemp(core 1) = %v, want 380", got)
 	}
 }
 
@@ -195,11 +212,12 @@ func TestMoreCoolingLowersTemps(t *testing.T) {
 	p1 := DefaultParams(313)
 	p2 := p1
 	p2.SinkRKW = p1.SinkRKW / 2
-	m1 := MustNew(floorplan.R10000Like(), p1)
-	m2 := MustNew(floorplan.R10000Like(), p2)
+	die := floorplan.MustNewDie(floorplan.R10000Like(), 1)
+	m1 := MustNew(die, p1)
+	m2 := MustNew(die, p2)
 	pw := power.Uniform(3)
-	t1 := m1.SteadyState(pw)
-	t2 := m2.SteadyState(pw)
+	t1 := m1.SteadyState(pw[:])
+	t2 := m2.SteadyState(pw[:])
 	for i := range t1 {
 		if t2[i] >= t1[i] {
 			t.Fatalf("better sink did not cool node %d: %v vs %v", i, t2[i], t1[i])
