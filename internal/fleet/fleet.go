@@ -35,6 +35,7 @@ import (
 
 	"ramp/internal/core"
 	"ramp/internal/obs"
+	"ramp/internal/splitmix"
 )
 
 // HoursPerYear converts Weibull scales (hours) to reported years.
@@ -414,7 +415,7 @@ func (e *Engine) simulateChip(st *shardState, chip uint64, acc []accum, binW flo
 	// time for the cell is just eta·z.
 	lr := chipStream(e.cfg.Seed, saltLifetime, chip)
 	for c := 0; c < numCells; c++ {
-		u := lr.uniform()
+		u := lr.Uniform()
 		st.z[c] = math.Exp(e.invBeta[c]*math.Log(-math.Log(u))) / st.k[c]
 	}
 
@@ -437,9 +438,9 @@ func (e *Engine) simulateChip(st *shardState, chip uint64, acc []accum, binW flo
 				// scenario): the failing component differs across
 				// policies, so sharing one stream would let one
 				// policy's repair count shift another's draws.
-				rr := chipStream(e.cfg.Seed, saltRepair^mix64(uint64(pi)<<32|uint64(si)), chip)
+				rr := chipStream(e.cfg.Seed, saltRepair^splitmix.Mix64(uint64(pi)<<32|uint64(si)), chip)
 				for rep := 0; rep < sc.Spares; rep++ {
-					u := rr.uniform()
+					u := rr.Uniform()
 					w := math.Exp(e.invBeta[cFail] * math.Log(-math.Log(u)))
 					st.work[cFail] = tFail + eta[cFail]*(w/st.k[cFail])
 					tFail, cFail = minCell(&st.work)

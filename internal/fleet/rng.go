@@ -2,7 +2,8 @@
 // Carlo engine.
 //
 // Every virtual chip owns independent random streams derived purely
-// from (engine seed, stream salt, chip index) via splitmix64 mixing.
+// from (engine seed, stream salt, chip index) via splitmix64 mixing
+// (internal/splitmix).
 // A chip's draws therefore never depend on which worker shard processes
 // it or on how many workers run: shard results are sums of per-chip
 // outcomes, each a pure function of (seed, chip), merged in fixed shard
@@ -18,10 +19,11 @@
 //	               and hence the number of repair draws — differs
 package fleet
 
-import "math"
+import (
+	"math"
 
-// golden is the splitmix64 stream increment (2^64 / phi).
-const golden = 0x9e3779b97f4a7c15
+	"ramp/internal/splitmix"
+)
 
 // Substream salts. Arbitrary odd constants, distinct so the mixed
 // starting states decorrelate.
@@ -31,54 +33,28 @@ const (
 	saltRepair    uint64 = 0xdead_beef_1234_5679
 )
 
-// mix64 is the splitmix64 finalizer: an invertible avalanche that maps
-// a weak counter state to a well-distributed 64-bit value.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// rng is a splitmix64 generator. The zero value is a valid (seed-0)
-// stream, but chips always construct theirs through chipStream.
-type rng struct{ s uint64 }
-
 // chipStream derives the chip's substream for one salt. The chip index
 // is spread by the golden-ratio stride and avalanched before the salt
 // folds in, so neighbouring chips and neighbouring salts land in
 // unrelated regions of the state space.
-func chipStream(seed, salt, chip uint64) rng {
-	return rng{s: mix64(mix64(seed+golden*chip) ^ salt)}
+func chipStream(seed, salt, chip uint64) splitmix.Stream {
+	return splitmix.NewStream(splitmix.Mix64(splitmix.Mix64(seed+splitmix.Golden*chip) ^ salt))
 }
 
-// next advances the stream and returns 64 uniform bits.
-func (r *rng) next() uint64 {
-	r.s += golden
-	return mix64(r.s)
-}
-
-// uniform returns a draw in the open interval (0, 1): the 53-bit
-// mantissa is offset by half an ulp so neither endpoint is reachable,
-// keeping -log(u) finite and strictly positive for the inverse-CDF
-// transform.
-func (r *rng) uniform() float64 {
-	return (float64(r.next()>>11) + 0.5) * (1.0 / (1 << 53))
-}
-
-// normal returns one standard normal draw (Box-Muller, cosine branch).
-// Always exactly two uniforms, so draw counts stay static.
-func (r *rng) normal() float64 {
-	u1 := r.uniform()
-	u2 := r.uniform()
+// normal returns one standard normal draw from r (Box-Muller, cosine
+// branch). Always exactly two uniforms, so draw counts stay static.
+func normal(r *splitmix.Stream) float64 {
+	u1 := r.Uniform()
+	u2 := r.Uniform()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// lognormal returns a mean-one lognormal draw with log-scale sigma:
-// exp(sigma·N − sigma²/2) has expectation exactly 1, so variation
+// lognormal returns a mean-one lognormal draw from r with log-scale
+// sigma: exp(sigma·N − sigma²/2) has expectation exactly 1, so variation
 // multipliers spread the fleet without shifting its average rate.
-func (r *rng) lognormal(sigma float64) float64 {
+func lognormal(r *splitmix.Stream, sigma float64) float64 {
 	if sigma == 0 {
 		return 1
 	}
-	return math.Exp(sigma*r.normal() - sigma*sigma/2)
+	return math.Exp(sigma*normal(r) - sigma*sigma/2)
 }

@@ -25,6 +25,7 @@ import (
 	"math"
 
 	"ramp/internal/core"
+	"ramp/internal/splitmix"
 )
 
 // VariationParams describes the per-chip process-variation model.
@@ -81,11 +82,11 @@ func (p VariationParams) Validate() error {
 // valid parameter space).
 //
 //ramp:hot
-func sampleVariation(r *rng, p VariationParams, k *[numCells]float64) {
+func sampleVariation(r *splitmix.Stream, p VariationParams, k *[numCells]float64) {
 	// Chip-level leakage factor, folded per mechanism.
 	var lg [int(core.NumMechanisms)]float64
 	if p.LeakSigma > 0 {
-		lnL := math.Log(r.lognormal(p.LeakSigma))
+		lnL := math.Log(lognormal(r, p.LeakSigma))
 		for m := range lg {
 			lg[m] = math.Exp(p.LeakGamma[m] * lnL)
 		}
@@ -98,7 +99,7 @@ func sampleVariation(r *rng, p VariationParams, k *[numCells]float64) {
 	for s := 0; s < numCells/nm; s++ {
 		sv := 1.0
 		if p.StructSigma > 0 {
-			sv = r.lognormal(p.StructSigma)
+			sv = lognormal(r, p.StructSigma)
 		}
 		for m := 0; m < nm; m++ {
 			k[s*nm+m] = sv * lg[m]

@@ -5,10 +5,10 @@
 // scripts/loadcheck.sh byte-compare two plan renders and lets a load
 // run be replayed against a changed server.
 //
-// The PRNG is the same splitmix64 idiom internal/fleet uses (the
-// repo's seeddet lint forbids time-seeded math/rand): independent
-// salted substreams for arrivals and for body sampling, so adding a
-// draw to one never perturbs the other.
+// The PRNG is internal/splitmix, shared with internal/fleet (the repo's
+// seeddet lint forbids time-seeded math/rand): independent salted
+// substreams for arrivals and for body sampling, so adding a draw to
+// one never perturbs the other.
 package load
 
 import (
@@ -17,10 +17,9 @@ import (
 	"strconv"
 	"strings"
 	"time"
-)
 
-// golden is the splitmix64 stream increment (2^64 / phi).
-const golden = 0x9e3779b97f4a7c15
+	"ramp/internal/splitmix"
+)
 
 // Substream salts (arbitrary odd constants, distinct from fleet's).
 const (
@@ -28,31 +27,9 @@ const (
 	saltSampler  uint64 = 0x10ad_5a3b_1e55_0003
 )
 
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-type rng struct{ s uint64 }
-
-func newRNG(seed int64, salt uint64) rng {
-	return rng{s: mix64(uint64(seed)*golden ^ salt)}
-}
-
-func (r *rng) next() uint64 {
-	r.s += golden
-	return mix64(r.s)
-}
-
-// uniform returns a draw in the open interval (0, 1).
-func (r *rng) uniform() float64 {
-	return (float64(r.next()>>11) + 0.5) / (1 << 53)
-}
-
-// intn returns a uniform draw in [0, n).
-func (r *rng) intn(n int) int {
-	return int(r.next() % uint64(n))
+// newRNG derives one run's substream for a salt.
+func newRNG(seed int64, salt uint64) splitmix.Stream {
+	return splitmix.NewStream(splitmix.Mix64(uint64(seed)*splitmix.Golden ^ salt))
 }
 
 // Profile is an arrival-rate shape for the open-loop generator.
@@ -161,7 +138,7 @@ func (p Profile) rate(t time.Duration) float64 {
 // schedule iterates deterministic arrival offsets for a profile.
 type schedule struct {
 	p Profile
-	r rng
+	r splitmix.Stream
 	t time.Duration // offset of the previous arrival
 }
 
@@ -176,7 +153,7 @@ func (s *schedule) next() time.Duration {
 	rate := s.p.rate(s.t)
 	gap := 1 / rate
 	if s.p.Kind == "poisson" {
-		gap = -math.Log(s.r.uniform()) / rate
+		gap = -math.Log(s.r.Uniform()) / rate
 	}
 	s.t += time.Duration(gap * float64(time.Second))
 	return s.t
@@ -270,7 +247,7 @@ var corpusApps = []string{
 
 // sampler draws (route, body) pairs from the seeded sampler stream.
 type sampler struct {
-	r    rng
+	r    splitmix.Stream
 	mix  Mix
 	apps []string
 }
@@ -287,25 +264,25 @@ func newSampler(m Mix, seed int64, apps []string) *sampler {
 // keep a route's weight nonzero.
 func (s *sampler) sample() request {
 	total := s.mix.Evaluate + s.mix.Sweep + s.mix.Fleet
-	u := s.r.uniform() * total
-	app := s.apps[s.r.intn(len(s.apps))]
+	u := s.r.Uniform() * total
+	app := s.apps[s.r.Intn(len(s.apps))]
 	switch {
 	case u < s.mix.Evaluate:
-		tq := tqualGrid[s.r.intn(len(tqualGrid))]
-		f := freqGrid[s.r.intn(len(freqGrid))]
+		tq := tqualGrid[s.r.Intn(len(tqualGrid))]
+		f := freqGrid[s.r.Intn(len(freqGrid))]
 		body := fmt.Sprintf(`{"app":%q,"tqual_k":%g}`, app, tq)
 		if f > 0 {
 			body = fmt.Sprintf(`{"app":%q,"freq_hz":%g,"tqual_k":%g}`, app, f, tq)
 		}
 		return request{route: RouteEvaluate, app: app, body: body}
 	case u < s.mix.Evaluate+s.mix.Sweep:
-		tq := tqualGrid[s.r.intn(len(tqualGrid))]
+		tq := tqualGrid[s.r.Intn(len(tqualGrid))]
 		return request{
 			route: RouteSweep, app: app,
 			body: fmt.Sprintf(`{"app":%q,"adaptation":"DVS","tquals_k":[400,%g]}`, app, tq),
 		}
 	default:
-		seed := fleetSeed[s.r.intn(len(fleetSeed))]
+		seed := fleetSeed[s.r.Intn(len(fleetSeed))]
 		return request{
 			route: RouteFleet, app: app,
 			body: fmt.Sprintf(`{"app":%q,"chips":2000,"seed":%d}`, app, seed),
