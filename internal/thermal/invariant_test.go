@@ -50,7 +50,7 @@ func TestSteadyStateConservesEnergy(t *testing.T) {
 				sum += w
 			}
 			temps := m.SteadyState(pw)
-			out := (temps[m.Nodes()-1] - m.Ambient()) * m.gSinkA
+			out := (temps[m.Nodes()-1] - m.Ambient()) * m.sinkToAmbient()
 			if rel := math.Abs(out-sum) / sum; rel > 1e-9 {
 				t.Fatalf("%d cores, trial %d: %.12g W to ambient, %.12g W in (rel %.3g)",
 					m.Die().NCores, trial, out, sum, rel)

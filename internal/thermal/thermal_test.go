@@ -103,88 +103,6 @@ func TestQuasiSteadyMatchesSteadyState(t *testing.T) {
 	}
 }
 
-func TestTransientConvergesToSteadyState(t *testing.T) {
-	m := model()
-	pw := power.Uniform(2.0)
-	want := m.SteadyState(pw[:])
-	st := m.NewState(313)
-	// Sink time constant is ~R*C = 0.6*140 = 84 s; integrate well past it.
-	for i := 0; i < 3000; i++ {
-		st.Step(pw[:], 0.5)
-	}
-	got := st.Temps()
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 0.05 {
-			t.Fatalf("node %d: transient %v vs steady %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestTransientBlocksFasterThanSink(t *testing.T) {
-	m := model()
-	pw := power.Uniform(2.0)
-	st := m.NewState(313)
-	for i := 0; i < 100; i++ {
-		st.Step(pw[:], 0.001) // 100 ms total
-	}
-	blocks := st.BlockTemps()
-	// Blocks warm within milliseconds; the sink barely moves.
-	if blocks[floorplan.Window]-313 < 1 {
-		t.Fatalf("blocks did not warm: %v", blocks[floorplan.Window])
-	}
-	if st.SinkTemp()-313 > 1 {
-		t.Fatalf("sink warmed too fast: %v", st.SinkTemp())
-	}
-	if st.SpreaderTemp() <= st.SinkTemp() {
-		t.Fatalf("spreader/sink ordering: %v %v", st.SpreaderTemp(), st.SinkTemp())
-	}
-}
-
-func TestImplicitEulerStableWithHugeStep(t *testing.T) {
-	m := model()
-	pw := power.Uniform(2.0)
-	st := m.NewState(313)
-	st.Step(pw[:], 1e6) // one enormous step lands on the steady state
-	want := m.SteadyState(pw[:])
-	got := st.Temps()
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 0.2 {
-			t.Fatalf("node %d after huge step: %v vs %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestStepPanicsOnBadDt(t *testing.T) {
-	st := model().NewState(313)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	st.Step(make([]float64, floorplan.NumStructures), 0)
-}
-
-func TestNewStateFrom(t *testing.T) {
-	m := model()
-	if _, err := m.NewStateFrom([]float64{1, 2}); err == nil {
-		t.Fatal("wrong-length state accepted")
-	}
-	one := power.Uniform(1)
-	init := m.SteadyState(one[:])
-	st, err := m.NewStateFrom(init)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Already at steady state: a step must not move it.
-	st.Step(one[:], 1.0)
-	got := st.Temps()
-	for i := range init {
-		if math.Abs(got[i]-init[i]) > 1e-6 {
-			t.Fatalf("steady state drifted at node %d: %v vs %v", i, got[i], init[i])
-		}
-	}
-}
-
 func TestNewRejectsBadParams(t *testing.T) {
 	p := DefaultParams(313)
 	p.SinkRKW = 0

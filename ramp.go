@@ -77,10 +77,8 @@ type (
 	PowerModel = power.Model
 	// PowerVector holds one value per structure.
 	PowerVector = power.Vector
-	// ThermalModel is the RC thermal network.
+	// ThermalModel is the thermal resistance network of a die.
 	ThermalModel = thermal.Model
-	// ThermalState integrates the network through time.
-	ThermalState = thermal.State
 )
 
 // RAMP — the paper's reliability model.
