@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -159,7 +160,7 @@ func TestSummarizeProperties(t *testing.T) {
 			s.Median >= s.Min-1e-9 && s.Median <= s.Max+1e-9 &&
 			s.P5 <= s.P95+1e-9 && s.N == len(clean)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(8))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -177,7 +178,7 @@ func TestClampProperty(t *testing.T) {
 		c := Clamp(x, lo, hi)
 		return c >= lo && c <= hi
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(9))}); err != nil {
 		t.Fatal(err)
 	}
 }
