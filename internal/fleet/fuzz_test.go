@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -9,10 +8,11 @@ import (
 )
 
 // FuzzVariationSampler drives the process-variation sampler across the
-// whole accepted parameter space: every multiplier it produces must be
-// finite and strictly positive (a zero or NaN multiplier would poison
-// the inverse-CDF transform), and the fleet survival curve built on top
-// of it must stay a monotone probability.
+// whole accepted parameter space: every multiplier the dense reference
+// draws must be finite and strictly positive (a zero or NaN multiplier
+// would poison the inverse-CDF transform), Run's report must equal the
+// dense reference's bit for bit under checkpoint and repair scenarios,
+// and the fleet survival curve must stay a monotone probability.
 func FuzzVariationSampler(f *testing.F) {
 	f.Add(uint64(1), 0.08, 0.12, 0.6, 0.4, 1.0, 0.0)
 	f.Add(uint64(99), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -41,7 +41,16 @@ func FuzzVariationSampler(f *testing.F) {
 
 		cfg := DefaultConfig(1_000, seed)
 		cfg.Variation = p
-		rep := runFleetF(t, cfg)
+		cfg.Scenarios = []Scenario{
+			NominalScenario(),
+			{Name: "checkpoint", Duty: 0.8},
+			{Name: "repair", Duty: 1, Spares: 2},
+		}
+		eng, err := New(cfg, []Policy{{Name: "base", Assessment: multiCell()}, {Name: "full", Assessment: fullGrid()}})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		rep := checkAgainstDense(t, eng)
 		for _, sr := range rep.Results {
 			prev := 1.0
 			for b, s := range sr.Survival {
@@ -52,19 +61,4 @@ func FuzzVariationSampler(f *testing.F) {
 			}
 		}
 	})
-}
-
-// runFleetF is runFleet for fuzz targets (testing.F passes *testing.T
-// into the fuzz function, so the helper is shared by signature).
-func runFleetF(t *testing.T, cfg Config) *Report {
-	t.Helper()
-	eng, err := New(cfg, []Policy{{Name: "base", Assessment: multiCell()}})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	rep, err := eng.Run(context.Background())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	return rep
 }
