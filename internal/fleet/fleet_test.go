@@ -133,6 +133,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(good, []Policy{{Name: "empty"}}); err == nil {
 		t.Error("assessment with no active components accepted")
 	}
+	nan := multiCell()
+	nan.FIT[3][1] = math.NaN()
+	if _, err := New(good, []Policy{{Name: "nan", Assessment: nan}}); err == nil {
+		t.Error("assessment with a NaN FIT accepted")
+	}
 }
 
 func TestRunCancellation(t *testing.T) {

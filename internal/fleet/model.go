@@ -18,26 +18,39 @@ import (
 	"ramp/internal/floorplan"
 )
 
-// numCells is the fixed cell-grid size: one slot per
-// (structure, mechanism) pair, active or not.
-const numCells = int(floorplan.NumStructures) * int(core.NumMechanisms)
+// The fixed cell grid: one slot per (structure, mechanism) pair,
+// active or not.
+const (
+	numStructs = int(floorplan.NumStructures)
+	numMechs   = int(core.NumMechanisms)
+	numCells   = numStructs * numMechs
+)
+
+// The sampler's per-chip memo masks hold one bit per cell.
+var _ [64 - numCells]struct{}
 
 // cellIndex flattens (structure, mechanism) mechanism-minor.
 func cellIndex(s floorplan.Structure, m core.Mechanism) int {
-	return int(s)*int(core.NumMechanisms) + int(m)
+	return int(s)*numMechs + int(m)
 }
 
 // cellMechanism recovers the mechanism of a flat cell index.
 func cellMechanism(c int) core.Mechanism {
-	return core.Mechanism(c % int(core.NumMechanisms))
+	return core.Mechanism(c % numMechs)
 }
 
 // compiledPolicy is one DRM policy's lifetime model on the cell grid.
 type compiledPolicy struct {
 	name string
 	// eta is the Weibull scale (hours) per cell; +Inf marks a cell with
-	// no active failure component, so eta·z can never be the minimum.
+	// no active failure component.
 	eta [numCells]float64
+	// logEta is log(eta), which turns a cell's log z bounds into bounds
+	// on its failure time.
+	logEta [numCells]float64
+	// active lists the cells with a finite eta in ascending order; the
+	// sampler never evaluates any other cell.
+	active []uint8
 }
 
 // compilePolicy builds the grid form of one policy from its RAMP
@@ -54,7 +67,16 @@ func compilePolicy(name string, a core.Assessment, shapes core.WeibullShapes) (c
 	}
 	for i := 0; i < lm.Components(); i++ {
 		s, m, _, scale := lm.Component(i)
+		if math.IsNaN(scale) {
+			return compiledPolicy{}, nil, fmt.Errorf("fleet: policy %q: %v %v has no Weibull scale", name, s, m)
+		}
 		cp.eta[cellIndex(s, m)] = scale
+	}
+	for c, eta := range cp.eta {
+		cp.logEta[c] = math.Log(eta)
+		if !math.IsInf(eta, 1) {
+			cp.active = append(cp.active, uint8(c))
+		}
 	}
 	return cp, lm, nil
 }

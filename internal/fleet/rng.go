@@ -41,20 +41,23 @@ func chipStream(seed, salt, chip uint64) splitmix.Stream {
 	return splitmix.NewStream(splitmix.Mix64(splitmix.Mix64(seed+splitmix.Golden*chip) ^ salt))
 }
 
-// normal returns one standard normal draw from r (Box-Muller, cosine
-// branch). Always exactly two uniforms, so draw counts stay static.
-func normal(r *splitmix.Stream) float64 {
-	u1 := r.Uniform()
-	u2 := r.Uniform()
+// uniform maps a 53-bit draw x (Next() >> 11) to the value
+// splitmix.Stream.Uniform returns for it, (x + ½)·2^-53.
+func uniform(x uint64) float64 {
+	return (float64(x) + 0.5) * (1.0 / (1 << 53))
+}
+
+// normal returns the standard normal of the uniforms u1, u2
+// (Box-Muller, cosine branch). Every draw takes exactly two uniforms,
+// so draw counts stay static.
+func normal(u1, u2 float64) float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// lognormal returns a mean-one lognormal draw from r with log-scale
-// sigma: exp(sigma·N − sigma²/2) has expectation exactly 1, so variation
-// multipliers spread the fleet without shifting its average rate.
-func lognormal(r *splitmix.Stream, sigma float64) float64 {
-	if sigma == 0 {
-		return 1
-	}
-	return math.Exp(sigma*normal(r) - sigma*sigma/2)
+// lognormal returns the mean-one lognormal of the uniforms u1, u2 with
+// log-scale sigma: exp(sigma·N − sigma²/2) has expectation exactly 1,
+// so variation multipliers spread the fleet without shifting its
+// average rate.
+func lognormal(u1, u2, sigma float64) float64 {
+	return math.Exp(sigma*normal(u1, u2) - sigma*sigma/2)
 }

@@ -22,10 +22,8 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 
 	"ramp/internal/core"
-	"ramp/internal/splitmix"
 )
 
 // VariationParams describes the per-chip process-variation model.
@@ -74,35 +72,4 @@ func (p VariationParams) Validate() error {
 		}
 	}
 	return nil
-}
-
-// sampleVariation fills k with one chip's per-cell FIT-rate multipliers
-// from the chip's variation substream. Every multiplier is finite and
-// strictly positive (FuzzVariationSampler holds this over the whole
-// valid parameter space).
-//
-//ramp:hot
-func sampleVariation(r *splitmix.Stream, p VariationParams, k *[numCells]float64) {
-	// Chip-level leakage factor, folded per mechanism.
-	var lg [int(core.NumMechanisms)]float64
-	if p.LeakSigma > 0 {
-		lnL := math.Log(lognormal(r, p.LeakSigma))
-		for m := range lg {
-			lg[m] = math.Exp(p.LeakGamma[m] * lnL)
-		}
-	} else {
-		for m := range lg {
-			lg[m] = 1
-		}
-	}
-	nm := int(core.NumMechanisms)
-	for s := 0; s < numCells/nm; s++ {
-		sv := 1.0
-		if p.StructSigma > 0 {
-			sv = lognormal(r, p.StructSigma)
-		}
-		for m := 0; m < nm; m++ {
-			k[s*nm+m] = sv * lg[m]
-		}
-	}
 }
