@@ -300,22 +300,55 @@ func TestStreamPipelineMerge(t *testing.T) {
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
+	// A frame arrives only after the handler has taken the snapshot the
+	// next window counts from, so the evaluate starts after one frame.
+	// 200 windows of 50 ms outlast an evaluation on a loaded host; the
+	// stream is read only until the evaluation's epochs show up.
+	resp, err := http.Get(hs.URL + "/v1/metrics/stream?window=50ms&n=200&format=ndjson")
+	if err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("subscribe: status %d", resp.StatusCode)
+	}
+	dec := json.NewDecoder(resp.Body)
+	if err := dec.Decode(new(streamFrame)); err != nil {
+		t.Fatalf("decode first frame: %v", err)
+	}
+
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		post(t, hs.URL+"/v1/evaluate", `{"app":"gzip"}`)
+		resp, err := http.Post(hs.URL+"/v1/evaluate", "application/json", strings.NewReader(`{"app":"gzip"}`))
+		if err != nil {
+			t.Errorf("evaluate: %v", err)
+			return
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			t.Errorf("evaluate: read body: %v", err)
+		}
 	}()
-	_, frames := readStreamFrames(t, hs.URL, "window=50ms&n=4&format=ndjson")
-	<-done
-
+	var frames []streamFrame
 	var epochs int64
-	for _, f := range frames {
+	for epochs == 0 {
+		var f streamFrame
+		if err = dec.Decode(&f); err != nil {
+			break
+		}
+		frames = append(frames, f)
 		for name, v := range f.Delta.Counters {
 			if strings.Contains(name, "epoch") {
 				epochs += v
 			}
 		}
 	}
+	<-done
+	if err != nil && err != io.EOF {
+		t.Fatalf("decode frame %d: %v", len(frames)+1, err)
+	}
+
 	if epochs == 0 {
 		names := map[string]bool{}
 		for _, f := range frames {
