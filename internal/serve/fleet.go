@@ -184,26 +184,25 @@ func fleetScenarios(req *FleetRequest) []fleet.Scenario {
 
 // handleFleet serves POST /v1/fleet.
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requestsFleet.Add(1)
+	s.ins.requestsFleet.Inc()
 	var req FleetRequest
 	if err := decodeRequest(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ev, key, err := s.normalizeFleet(&req)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if resp, ok := s.fleet.get(key); ok {
 		writeJSON(w, http.StatusOK, resp)
-		s.metrics.countResponse(http.StatusOK)
 		return
 	}
 
 	app, proc, _, err := s.normalizeEvaluate(&ev)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -213,7 +212,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	var jobErr error
 	poolErr := s.pool.run(ctx, func() {
 		start := time.Now()
-		defer func() { s.metrics.latFleet.observe(time.Since(start)) }()
+		defer func() { s.ins.latFleet.Observe(time.Since(start).Microseconds()) }()
 
 		// One simulation feeds every policy: the per-T_qual assessments
 		// are requalifications of the same evaluated result.
@@ -274,5 +273,4 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	}
 	s.fleet.put(key, resp)
 	writeJSON(w, http.StatusOK, resp)
-	s.metrics.countResponse(http.StatusOK)
 }

@@ -105,10 +105,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // a failed write means the client is gone
 }
 
-// writeError emits the uniform error body and counts the response.
-func (s *Server) writeError(w http.ResponseWriter, status int, format string, args ...any) {
+// writeError emits the uniform error body.
+func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-	s.metrics.countResponse(status)
 }
 
 // decodeRequest strictly decodes a JSON body into v: unknown fields,
@@ -174,15 +173,15 @@ func (s *Server) normalizeEvaluate(req *EvaluateRequest) (trace.Profile, config.
 
 // handleEvaluate serves POST /v1/evaluate.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requestsEvaluate.Add(1)
+	s.ins.requestsEvaluate.Inc()
 	var req EvaluateRequest
 	if err := decodeRequest(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	app, proc, qual, err := s.normalizeEvaluate(&req)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -193,7 +192,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	poolErr := s.pool.run(ctx, func() {
 		start := time.Now()
 		res, evalErr = s.env.EvaluateCtx(ctx, app, proc, qual)
-		s.metrics.latEvaluate.observe(time.Since(start))
+		s.ins.latEvaluate.Observe(time.Since(start).Microseconds())
 	})
 	if err := s.jobError(poolErr, evalErr); err != nil {
 		s.writeJobError(w, err)
@@ -209,43 +208,42 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		FIT: a.TotalFIT, TargetFIT: qual.TargetFIT, MTTFYears: a.MTTFYears,
 		MeetsTarget: a.TotalFIT <= qual.TargetFIT,
 	})
-	s.metrics.countResponse(http.StatusOK)
 }
 
 // handleSweep serves POST /v1/sweep.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requestsSweep.Add(1)
+	s.ins.requestsSweep.Inc()
 	var req SweepRequest
 	if err := decodeRequest(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	app, err := trace.AppByName(req.App)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	adaptation, err := drm.AdaptationByName(req.Adaptation)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if len(req.TqualsK) == 0 {
-		s.writeError(w, http.StatusBadRequest, "tquals_k must list at least one qualification temperature")
+		writeError(w, http.StatusBadRequest, "tquals_k must list at least one qualification temperature")
 		return
 	}
 	if len(req.TqualsK) > 64 {
-		s.writeError(w, http.StatusBadRequest, "tquals_k lists %d temperatures (max 64)", len(req.TqualsK))
+		writeError(w, http.StatusBadRequest, "tquals_k lists %d temperatures (max 64)", len(req.TqualsK))
 		return
 	}
 	for _, tq := range req.TqualsK {
 		if tq < 250 || tq > 500 {
-			s.writeError(w, http.StatusBadRequest, "tquals_k %g outside the plausible qualification range [250, 500]", tq)
+			writeError(w, http.StatusBadRequest, "tquals_k %g outside the plausible qualification range [250, 500]", tq)
 			return
 		}
 	}
 	if req.FreqStepHz < 0 || (req.FreqStepHz > 0 && req.FreqStepHz < 0.02e9) {
-		s.writeError(w, http.StatusBadRequest, "freq_step_hz %g too fine (min 0.02 GHz)", req.FreqStepHz)
+		writeError(w, http.StatusBadRequest, "freq_step_hz %g too fine (min 0.02 GHz)", req.FreqStepHz)
 		return
 	}
 
@@ -262,7 +260,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var sweepErr error
 	poolErr := s.pool.run(ctx, func() {
 		start := time.Now()
-		defer func() { s.metrics.latSweep.observe(time.Since(start)) }()
+		defer func() { s.ins.latSweep.Observe(time.Since(start).Microseconds()) }()
 		var sweep *drm.Sweep
 		sweep, sweepErr = oracle.SweepCtx(ctx, app, adaptation)
 		if sweepErr != nil {
@@ -291,18 +289,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
-	s.metrics.countResponse(http.StatusOK)
 }
 
 // handleHealthz serves GET /v1/healthz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requestsHealthz.Add(1)
+	s.ins.requestsHealthz.Inc()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":             "ok",
-		"uptime_sec":         time.Since(s.metrics.start).Seconds(),
+		"uptime_sec":         time.Since(s.start).Seconds(),
 		"cached_evaluations": s.env.CachedEvaluations(),
 	})
-	s.metrics.countResponse(http.StatusOK)
 }
 
 // requestContext derives the job context: the client's own context
@@ -331,15 +327,15 @@ func (s *Server) writeJobError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusTooManyRequests, "server saturated: %v", err)
+		writeError(w, http.StatusTooManyRequests, "server saturated: %v", err)
 	case errors.Is(err, context.DeadlineExceeded):
-		s.metrics.timeouts.Add(1)
-		s.writeError(w, http.StatusGatewayTimeout, "evaluation exceeded the request deadline")
+		s.ins.timeouts.Inc()
+		writeError(w, http.StatusGatewayTimeout, "evaluation exceeded the request deadline")
 	case errors.Is(err, context.Canceled):
 		// The client went away; 499 in nginx convention. The body almost
 		// certainly cannot be delivered, but account the response.
-		s.writeError(w, 499, "request cancelled")
+		writeError(w, 499, "request cancelled")
 	default:
-		s.writeError(w, http.StatusInternalServerError, "%v", err)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 	}
 }

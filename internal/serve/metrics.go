@@ -2,45 +2,90 @@ package serve
 
 import (
 	"net/http"
-	"strconv"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	"ramp/internal/obs"
 )
 
-// histBuckets is the number of power-of-two latency buckets. Bucket i
-// counts observations with latency < 2^i microseconds; the last bucket
-// is a catch-all (2^21 µs ≈ 2.1 s and beyond land there), wide enough
-// for a full-length ArchDVS sweep.
-const histBuckets = 22
+// instruments are the server's own metrics, resolved once from its
+// registry: the handlers and the pool update them through these
+// pointers, so no request takes the registry's lock. The registry
+// names are the ones /v1/metrics/stream publishes; /metrics groups the
+// requests_, responses_ and latency_us_ families under one key each
+// (DESIGN.md §8).
+type instruments struct {
+	requestsEvaluate *obs.Counter
+	requestsSweep    *obs.Counter
+	requestsFleet    *obs.Counter
+	requestsHealthz  *obs.Counter
+	requestsMetrics  *obs.Counter
+	requestsStream   *obs.Counter
 
-// histogram is a lock-free log2-scaled latency histogram (microsecond
-// resolution). Writers only atomically increment; readers snapshot.
-type histogram struct {
-	count  atomic.Int64
-	sumUS  atomic.Int64
-	bucket [histBuckets]atomic.Int64
+	responses2xx *obs.Counter
+	responses4xx *obs.Counter
+	responses5xx *obs.Counter
+	shed         *obs.Counter // queue-full 429s (subset of responses4xx)
+	timeouts     *obs.Counter // deadline-exceeded 504s (subset of responses5xx)
+
+	inflight *obs.Gauge // jobs currently holding a worker slot
+	queued   *obs.Gauge // jobs admitted but waiting for a slot
+
+	// Latencies in microseconds.
+	latQueueWait *obs.Histogram // admission → worker slot acquired
+	latEvaluate  *obs.Histogram // /v1/evaluate compute time
+	latSweep     *obs.Histogram // /v1/sweep compute time (sweep + all selects)
+	latFleet     *obs.Histogram // /v1/fleet compute time (evaluate + Monte Carlo)
 }
 
-// observe records one latency sample.
-func (h *histogram) observe(d time.Duration) {
-	us := d.Microseconds()
-	if us < 0 {
-		us = 0
+func newInstruments(reg *obs.Registry) *instruments {
+	return &instruments{
+		requestsEvaluate: reg.Counter("requests_evaluate"),
+		requestsSweep:    reg.Counter("requests_sweep"),
+		requestsFleet:    reg.Counter("requests_fleet"),
+		requestsHealthz:  reg.Counter("requests_healthz"),
+		requestsMetrics:  reg.Counter("requests_metrics"),
+		requestsStream:   reg.Counter("requests_stream"),
+		responses2xx:     reg.Counter("responses_2xx"),
+		responses4xx:     reg.Counter("responses_4xx"),
+		responses5xx:     reg.Counter("responses_5xx"),
+		shed:             reg.Counter("shed_total"),
+		timeouts:         reg.Counter("timeout_total"),
+		inflight:         reg.Gauge("inflight_jobs"),
+		queued:           reg.Gauge("queued_jobs"),
+		latQueueWait:     reg.Histogram("latency_us_queue_wait"),
+		latEvaluate:      reg.Histogram("latency_us_evaluate"),
+		latSweep:         reg.Histogram("latency_us_sweep"),
+		latFleet:         reg.Histogram("latency_us_fleet"),
 	}
-	i := 0
-	for b := us; b > 0 && i < histBuckets-1; b >>= 1 {
-		i++
-	}
-	h.bucket[i].Add(1)
-	h.count.Add(1)
-	h.sumUS.Add(us)
 }
 
-// histSnapshot is the JSON form of one histogram: cumulative counts per
-// upper bound, expvar-style flat keys, plus interpolated quantile
-// estimates (obs.HistogramSnapshot.Quantile over the same buckets).
+func (in *instruments) countResponse(status int) {
+	switch {
+	case status >= 500:
+		in.responses5xx.Inc()
+	case status >= 400:
+		in.responses4xx.Inc()
+	default:
+		in.responses2xx.Inc()
+	}
+}
+
+// labeled returns the entries of m whose names start with prefix, keyed
+// by the rest of the name: the route or class label of one family.
+func labeled[V any](m map[string]V, prefix string) map[string]V {
+	out := make(map[string]V)
+	for name, v := range m {
+		if label, ok := strings.CutPrefix(name, prefix); ok {
+			out[label] = v
+		}
+	}
+	return out
+}
+
+// histSnapshot is the JSON form of one latency histogram: obs's
+// cumulative le-keyed buckets plus interpolated quantile estimates
+// (obs.HistogramSnapshot.Quantile).
 type histSnapshot struct {
 	Count   int64            `json:"count"`
 	SumUS   int64            `json:"sum_us"`
@@ -48,73 +93,6 @@ type histSnapshot struct {
 	P95US   float64          `json:"p95_us,omitempty"`
 	P99US   float64          `json:"p99_us,omitempty"`
 	Buckets map[string]int64 `json:"buckets_le_us,omitempty"`
-}
-
-func (h *histogram) snapshot() histSnapshot {
-	s := histSnapshot{Count: h.count.Load(), SumUS: h.sumUS.Load()}
-	if s.Count == 0 {
-		return s
-	}
-	s.Buckets = make(map[string]int64)
-	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.bucket[i].Load()
-		if cum == 0 {
-			continue
-		}
-		le := "+inf"
-		if i < histBuckets-1 {
-			le = strconv.FormatInt(1<<i, 10)
-		}
-		s.Buckets[le] = cum
-	}
-	q := toObsHistogram(s)
-	s.P50US = q.Quantile(0.50)
-	s.P95US = q.Quantile(0.95)
-	s.P99US = q.Quantile(0.99)
-	return s
-}
-
-// metrics is the server's expvar-style counter set, published as one
-// JSON document at GET /metrics. All fields are atomics; there is no
-// global expvar registration, so independent Servers (tests) never
-// collide.
-type metrics struct {
-	start time.Time
-
-	requestsEvaluate atomic.Int64
-	requestsSweep    atomic.Int64
-	requestsFleet    atomic.Int64
-	requestsHealthz  atomic.Int64
-	requestsMetrics  atomic.Int64
-	requestsStream   atomic.Int64
-
-	responses2xx atomic.Int64
-	responses4xx atomic.Int64
-	responses5xx atomic.Int64
-	shed         atomic.Int64 // queue-full 429s (subset of responses4xx)
-	timeouts     atomic.Int64 // deadline-exceeded 504s (subset of responses5xx)
-
-	inflight atomic.Int64 // jobs currently holding a worker slot
-	queued   atomic.Int64 // jobs admitted but waiting for a slot
-
-	latQueueWait histogram // admission → worker slot acquired
-	latEvaluate  histogram // /v1/evaluate compute time
-	latSweep     histogram // /v1/sweep compute time (sweep + all selects)
-	latFleet     histogram // /v1/fleet compute time (evaluate + Monte Carlo)
-}
-
-func newMetrics() *metrics { return &metrics{start: time.Now()} }
-
-func (m *metrics) countResponse(status int) {
-	switch {
-	case status >= 500:
-		m.responses5xx.Add(1)
-	case status >= 400:
-		m.responses4xx.Add(1)
-	default:
-		m.responses2xx.Add(1)
-	}
 }
 
 // cacheCounters is the slice of exp.CacheStats surfaced in /metrics.
@@ -148,52 +126,40 @@ type metricsSnapshot struct {
 }
 
 func (s *Server) snapshotMetrics() metricsSnapshot {
-	m := s.metrics
+	snap := s.reg.Snapshot()
 	cs := s.env.CacheStats()
-	var pipeline *obs.Snapshot
+	out := metricsSnapshot{
+		UptimeSec:     time.Since(s.start).Seconds(),
+		RequestsTotal: labeled(snap.Counters, "requests_"),
+		Responses:     labeled(snap.Counters, "responses_"),
+		ShedTotal:     snap.Counters["shed_total"],
+		TimeoutTotal:  snap.Counters["timeout_total"],
+		InflightJobs:  snap.Gauges["inflight_jobs"],
+		QueuedJobs:    snap.Gauges["queued_jobs"],
+		Cache:         cacheCounters{Hits: cs.Hits, Misses: cs.Misses, Entries: cs.Entries},
+		LatencyUS:     make(map[string]histSnapshot),
+	}
+	for route, h := range labeled(snap.Histograms, "latency_us_") {
+		hs := histSnapshot{Count: h.Count, SumUS: h.Sum, Buckets: h.Buckets}
+		if h.Count > 0 { // Quantile is NaN on an empty histogram
+			hs.P50US, hs.P95US, hs.P99US = h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
+		}
+		out.LatencyUS[route] = hs
+	}
 	if s.env.Metrics != nil {
-		snap := s.env.Metrics.Snapshot()
-		pipeline = &snap
+		pipeline := s.env.Metrics.Snapshot()
+		out.Pipeline = &pipeline
 	}
-	return metricsSnapshot{
-		Pipeline:  pipeline,
-		UptimeSec: time.Since(m.start).Seconds(),
-		RequestsTotal: map[string]int64{
-			"evaluate": m.requestsEvaluate.Load(),
-			"sweep":    m.requestsSweep.Load(),
-			"fleet":    m.requestsFleet.Load(),
-			"healthz":  m.requestsHealthz.Load(),
-			"metrics":  m.requestsMetrics.Load(),
-			"stream":   m.requestsStream.Load(),
-		},
-		Responses: map[string]int64{
-			"2xx": m.responses2xx.Load(),
-			"4xx": m.responses4xx.Load(),
-			"5xx": m.responses5xx.Load(),
-		},
-		ShedTotal:    m.shed.Load(),
-		TimeoutTotal: m.timeouts.Load(),
-		InflightJobs: m.inflight.Load(),
-		QueuedJobs:   m.queued.Load(),
-		Cache:        cacheCounters{Hits: cs.Hits, Misses: cs.Misses, Entries: cs.Entries},
-		LatencyUS: map[string]histSnapshot{
-			"queue_wait": m.latQueueWait.snapshot(),
-			"evaluate":   m.latEvaluate.snapshot(),
-			"sweep":      m.latSweep.snapshot(),
-			"fleet":      m.latFleet.snapshot(),
-		},
-	}
+	return out
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requestsMetrics.Add(1)
+	s.ins.requestsMetrics.Inc()
 	if wantsPrometheus(r) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		s.writePrometheus(w, s.snapshotMetrics())
-		s.metrics.countResponse(http.StatusOK)
+		s.writePrometheus(w)
 		return
 	}
 	writeJSON(w, http.StatusOK, s.snapshotMetrics())
-	s.metrics.countResponse(http.StatusOK)
 }

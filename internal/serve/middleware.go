@@ -1,6 +1,7 @@
 // Request middleware: the one place every HTTP response — success,
-// validation error, or load-shed — passes through. It owns the three
-// per-request observability concerns so handlers stay pure:
+// validation error, load-shed, or one the mux writes itself (405, 404)
+// — passes through. It owns the four per-request observability
+// concerns so handlers stay pure:
 //
 //   - Request IDs: an inbound X-Request-ID is honored (after
 //     sanitizing); otherwise one is minted from process-start time plus
@@ -11,6 +12,8 @@
 //   - Spans: each request opens a fresh track on the env's tracer (nil
 //     when the server is uninstrumented), annotated with method, path,
 //     status and request ID.
+//   - Response counts: the captured status bumps responses_{2xx,4xx,5xx}
+//     once, after the handler returns (a stream's 200 when it ends).
 //   - Access logs: one structured line per request on cfg.Log.
 package serve
 
@@ -57,7 +60,8 @@ func sanitizeRequestID(id string) bool {
 	return true
 }
 
-// statusWriter captures the response status for the span and access log.
+// statusWriter captures the response status for the response counters,
+// the span and the access log.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -114,6 +118,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
+		s.ins.countResponse(sw.status)
 
 		span.AnnotateInt("status", int64(sw.status))
 		span.End()

@@ -27,12 +27,12 @@ var ErrQueueFull = errors.New("serve: worker queue full")
 // pool's drain accounting: a draining server finishes every admitted
 // job before exiting.
 type pool struct {
-	slots   chan struct{}
-	admit   chan struct{}
-	metrics *metrics
+	slots chan struct{}
+	admit chan struct{}
+	ins   *instruments
 }
 
-func newPool(workers, queueDepth int, m *metrics) *pool {
+func newPool(workers, queueDepth int, ins *instruments) *pool {
 	if workers < 1 {
 		workers = 1
 	}
@@ -40,9 +40,9 @@ func newPool(workers, queueDepth int, m *metrics) *pool {
 		queueDepth = 0
 	}
 	return &pool{
-		slots:   make(chan struct{}, workers),
-		admit:   make(chan struct{}, workers+queueDepth),
-		metrics: m,
+		slots: make(chan struct{}, workers),
+		admit: make(chan struct{}, workers+queueDepth),
+		ins:   ins,
 	}
 }
 
@@ -54,25 +54,25 @@ func (p *pool) run(ctx context.Context, fn func()) error {
 	select {
 	case p.admit <- struct{}{}:
 	default:
-		p.metrics.shed.Add(1)
+		p.ins.shed.Inc()
 		return ErrQueueFull
 	}
 	defer func() { <-p.admit }()
 
-	p.metrics.queued.Add(1)
+	p.ins.queued.Add(1)
 	waitStart := time.Now()
 	select {
 	case p.slots <- struct{}{}:
 	case <-ctx.Done():
-		p.metrics.queued.Add(-1)
+		p.ins.queued.Add(-1)
 		return ctx.Err()
 	}
-	p.metrics.queued.Add(-1)
-	p.metrics.latQueueWait.observe(time.Since(waitStart))
+	p.ins.queued.Add(-1)
+	p.ins.latQueueWait.Observe(time.Since(waitStart).Microseconds())
 
-	p.metrics.inflight.Add(1)
+	p.ins.inflight.Add(1)
 	defer func() {
-		p.metrics.inflight.Add(-1)
+		p.ins.inflight.Add(-1)
 		<-p.slots
 	}()
 	fn()

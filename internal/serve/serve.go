@@ -86,7 +86,9 @@ type Server struct {
 	cfg     Config
 	env     *exp.Env
 	pool    *pool
-	metrics *metrics
+	reg     *obs.Registry // the server's own metrics; env.Metrics is the pipeline's
+	ins     *instruments  // resolved from reg
+	start   time.Time
 	fleet   fleetCache
 	mux     *http.ServeMux
 	handler http.Handler // mux wrapped in the request middleware
@@ -107,7 +109,8 @@ type Server struct {
 // env's tracer and /metrics exposes the pipeline registry alongside the
 // server's own counters.
 func New(env *exp.Env, cfg Config) *Server {
-	m := newMetrics()
+	reg := obs.NewRegistry()
+	ins := newInstruments(reg)
 	log := cfg.Log
 	if log == nil {
 		log = obs.Discard()
@@ -115,8 +118,10 @@ func New(env *exp.Env, cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		env:      env,
-		pool:     newPool(cfg.Workers, cfg.QueueDepth, m),
-		metrics:  m,
+		pool:     newPool(cfg.Workers, cfg.QueueDepth, ins),
+		reg:      reg,
+		ins:      ins,
+		start:    time.Now(),
 		mux:      http.NewServeMux(),
 		log:      log,
 		addr:     make(chan net.Addr, 1),
@@ -150,16 +155,6 @@ func (s *Server) Addr() net.Addr {
 	a := <-s.addr
 	s.addr <- a
 	return a
-}
-
-// ListenAndServe binds cfg.Addr and serves until ctx is cancelled
-// (SIGTERM in cmd/rampserve), then drains gracefully.
-func (s *Server) ListenAndServe(ctx context.Context) error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln)
 }
 
 // Serve runs the HTTP service on ln until ctx is cancelled, then shuts

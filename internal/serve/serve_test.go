@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ramp/internal/exp"
+	"ramp/internal/obs"
 )
 
 // tinyOptions returns run lengths far below even QuickOptions: serve
@@ -120,7 +121,7 @@ func TestEvaluateNormalizationSharesCacheKey(t *testing.T) {
 }
 
 func TestEvaluateValidation(t *testing.T) {
-	_, hs := newTestServer(t)
+	s, hs := newTestServer(t)
 	cases := []struct {
 		name, body string
 	}{
@@ -139,9 +140,14 @@ func TestEvaluateValidation(t *testing.T) {
 			t.Errorf("%s: status %d (want 400), body %s", tc.name, status, body)
 		}
 	}
-	// Wrong method routes to 405 via the Go 1.22 method pattern.
+	// Wrong method routes to 405 via the Go 1.22 method pattern. The mux
+	// writes that response itself; the middleware still counts it.
+	before := s.ins.responses4xx.Value()
 	if status, _ := get(t, hs.URL+"/v1/evaluate"); status != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/evaluate: status %d (want 405)", status)
+	}
+	if got := s.ins.responses4xx.Value() - before; got != 1 {
+		t.Errorf("responses_4xx rose by %d after a 405 (want 1)", got)
 	}
 }
 
@@ -248,7 +254,7 @@ func TestQueueFullSheds429(t *testing.T) {
 	if status, body := post(t, hs.URL+"/v1/evaluate", `{"app":"twolf"}`); status != http.StatusOK {
 		t.Fatalf("after release: status %d, body %s", status, body)
 	}
-	if shed := s.metrics.shed.Load(); shed != 1 {
+	if shed := s.ins.shed.Value(); shed != 1 {
 		t.Errorf("shed_total = %d (want 1)", shed)
 	}
 }
@@ -264,8 +270,8 @@ func TestRequestTimeoutReturns504(t *testing.T) {
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d (want 504), body %s", status, body)
 	}
-	if s.metrics.timeouts.Load() != 1 {
-		t.Errorf("timeout_total = %d (want 1)", s.metrics.timeouts.Load())
+	if s.ins.timeouts.Value() != 1 {
+		t.Errorf("timeout_total = %d (want 1)", s.ins.timeouts.Value())
 	}
 	// The abandoned flight must not poison the cache: with a sane
 	// deadline the same request now succeeds.
@@ -276,7 +282,7 @@ func TestRequestTimeoutReturns504(t *testing.T) {
 }
 
 func TestPoolRunQueueFull(t *testing.T) {
-	p := newPool(1, 1, newMetrics())
+	p := newPool(1, 1, newInstruments(obs.NewRegistry()))
 	block := make(chan struct{})
 	done := make(chan error, 3)
 	run := func() { <-block }
@@ -303,7 +309,7 @@ func TestPoolRunQueueFull(t *testing.T) {
 }
 
 func TestPoolRunQueueWaitCancellable(t *testing.T) {
-	p := newPool(1, 4, newMetrics())
+	p := newPool(1, 4, newInstruments(obs.NewRegistry()))
 	block := make(chan struct{})
 	started := make(chan struct{})
 	go p.run(context.Background(), func() { close(started); <-block })

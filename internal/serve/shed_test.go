@@ -46,10 +46,10 @@ func TestShed429MintsRequestIDAndSkipsLatency(t *testing.T) {
 		t.Error("429 missing Retry-After")
 	}
 
-	if shed := s.metrics.shed.Load(); shed != 1 {
+	if shed := s.ins.shed.Value(); shed != 1 {
 		t.Errorf("shed_total = %d, want 1", shed)
 	}
-	if r4 := s.metrics.responses4xx.Load(); r4 != 1 {
+	if r4 := s.ins.responses4xx.Value(); r4 != 1 {
 		t.Errorf("responses_4xx = %d, want 1", r4)
 	}
 	// The request never held a worker slot: no latency family may move.
@@ -87,10 +87,10 @@ func TestShed504RecordsComputeLatency(t *testing.T) {
 		t.Errorf("504 lost the request ID: got %q", got)
 	}
 
-	if s.metrics.timeouts.Load() != 1 {
-		t.Errorf("timeout_total = %d, want 1", s.metrics.timeouts.Load())
+	if s.ins.timeouts.Value() != 1 {
+		t.Errorf("timeout_total = %d, want 1", s.ins.timeouts.Value())
 	}
-	if r5 := s.metrics.responses5xx.Load(); r5 != 1 {
+	if r5 := s.ins.responses5xx.Value(); r5 != 1 {
 		t.Errorf("responses_5xx = %d, want 1", r5)
 	}
 	snap := s.snapshotMetrics()

@@ -1,9 +1,9 @@
 // GET /v1/metrics/stream — live windowed telemetry. Each subscriber
 // gets its own clock: every window the handler snapshots the server's
-// metrics (unified into an obs.Snapshot with the pipeline registry),
-// subtracts the previous snapshot, and pushes one frame carrying the
-// delta. Frames are Server-Sent Events by default (curl-friendly,
-// EventSource-compatible) or bare NDJSON with ?format=ndjson.
+// registry (merged with the pipeline registry), subtracts the previous
+// snapshot, and pushes one frame carrying the delta. Frames are
+// Server-Sent Events by default (curl-friendly, EventSource-compatible)
+// or bare NDJSON with ?format=ndjson.
 //
 // The stream honors graceful shutdown: Serve closes the draining
 // channel before http.Server.Shutdown, so every subscriber loop returns
@@ -40,37 +40,11 @@ type streamFrame struct {
 	Delta     obs.Snapshot `json:"delta"`
 }
 
-// obsSnapshot unifies the server's hand-rolled counters and the
-// pipeline registry into one obs.Snapshot, so windowed deltas, quantile
-// estimation and SLO math all run on the same Snapshot algebra the rest
-// of the codebase uses.
+// obsSnapshot merges the server's registry and, for an instrumented
+// env, the pipeline registry into the one snapshot a frame's delta is
+// taken from.
 func (s *Server) obsSnapshot() obs.Snapshot {
-	m := s.metrics
-	out := obs.Snapshot{
-		Counters: map[string]int64{
-			"requests_evaluate": m.requestsEvaluate.Load(),
-			"requests_sweep":    m.requestsSweep.Load(),
-			"requests_fleet":    m.requestsFleet.Load(),
-			"requests_healthz":  m.requestsHealthz.Load(),
-			"requests_metrics":  m.requestsMetrics.Load(),
-			"requests_stream":   m.requestsStream.Load(),
-			"responses_2xx":     m.responses2xx.Load(),
-			"responses_4xx":     m.responses4xx.Load(),
-			"responses_5xx":     m.responses5xx.Load(),
-			"shed_total":        m.shed.Load(),
-			"timeout_total":     m.timeouts.Load(),
-		},
-		Gauges: map[string]int64{
-			"inflight_jobs": m.inflight.Load(),
-			"queued_jobs":   m.queued.Load(),
-		},
-		Histograms: map[string]obs.HistogramSnapshot{
-			"latency_us_queue_wait": toObsHistogram(m.latQueueWait.snapshot()),
-			"latency_us_evaluate":   toObsHistogram(m.latEvaluate.snapshot()),
-			"latency_us_sweep":      toObsHistogram(m.latSweep.snapshot()),
-			"latency_us_fleet":      toObsHistogram(m.latFleet.snapshot()),
-		},
-	}
+	out := s.reg.Snapshot()
 	if s.env.Metrics != nil {
 		pipe := s.env.Metrics.Snapshot()
 		for name, v := range pipe.Counters {
@@ -81,23 +55,6 @@ func (s *Server) obsSnapshot() obs.Snapshot {
 		}
 		for name, h := range pipe.Histograms {
 			out.Histograms[name] = h
-		}
-	}
-	return out
-}
-
-// toObsHistogram converts the server's JSON histogram form into the obs
-// snapshot form (same cumulative le-keyed shape; only the catch-all key
-// spelling differs).
-func toObsHistogram(h histSnapshot) obs.HistogramSnapshot {
-	out := obs.HistogramSnapshot{Count: h.Count, Sum: h.SumUS}
-	if len(h.Buckets) > 0 {
-		out.Buckets = make(map[string]int64, len(h.Buckets))
-		for le, c := range h.Buckets {
-			if le == "+inf" {
-				le = "+Inf"
-			}
-			out.Buckets[le] = c
 		}
 	}
 	return out
@@ -136,15 +93,15 @@ func parseStreamParams(r *http.Request) (window time.Duration, limit int64, sse 
 }
 
 func (s *Server) handleMetricsStream(w http.ResponseWriter, r *http.Request) {
-	s.metrics.requestsStream.Add(1)
+	s.ins.requestsStream.Inc()
 	window, limit, sse, err := parseStreamParams(r)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		s.writeError(w, http.StatusInternalServerError, "streaming unsupported by transport")
+		writeError(w, http.StatusInternalServerError, "streaming unsupported by transport")
 		return
 	}
 	if sse {
@@ -155,7 +112,6 @@ func (s *Server) handleMetricsStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
-	s.metrics.countResponse(http.StatusOK)
 
 	// The middleware set the echo header before we got here; carrying it
 	// in every frame correlates the stream with the access log.
