@@ -45,7 +45,9 @@ type cacheEntry struct {
 // endpoint and for singleflight assertions in tests.
 type CacheStats struct {
 	// Hits counts Evaluate calls served without starting a simulation:
-	// either from a completed entry or by joining an in-flight one.
+	// either from a completed entry or by joining an in-flight one that
+	// completed. A waiter whose leader or own context is cancelled
+	// counts no hit.
 	Hits int64
 	// Misses counts Evaluate calls that started a simulation (took
 	// leadership of a flight). With no cancellations, Misses equals the
@@ -74,7 +76,6 @@ func (c *evalCache) acquire(k evalKey) (e *cacheEntry, leader bool) {
 		c.m = make(map[evalKey]*cacheEntry)
 	}
 	if e = c.m[k]; e != nil {
-		c.hits.Add(1)
 		return e, false
 	}
 	e = &cacheEntry{done: make(chan struct{})}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ramp/internal/obs"
 	"ramp/internal/trace"
 )
 
@@ -71,9 +72,12 @@ func TestEvaluateCtxCancelMidRunReturnsPromptly(t *testing.T) {
 
 // TestEvaluateCtxWaiterSurvivesLeaderCancellation joins a second caller
 // onto an in-flight evaluation, cancels the leader, and requires the
-// waiter to retake leadership and finish the job.
+// waiter to retake leadership and finish the job. Neither call is
+// served by a completed flight, so CacheStats and the registry both
+// read no hit.
 func TestEvaluateCtxWaiterSurvivesLeaderCancellation(t *testing.T) {
-	env := NewEnv(cancelOptions())
+	reg := obs.NewRegistry()
+	env := NewEnv(cancelOptions()).Instrument(nil, reg)
 	qual := env.Qualification(400)
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 
@@ -110,8 +114,16 @@ func TestEvaluateCtxWaiterSurvivesLeaderCancellation(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("waiter never completed")
 	}
-	if st := env.CacheStats(); st.Entries != 1 {
+	st := env.CacheStats()
+	if st.Entries != 1 {
 		t.Errorf("cache entries = %d (want 1 completed flight)", st.Entries)
+	}
+	if st.Hits != 0 {
+		t.Errorf("cache hits = %d (want 0: no call was served by a completed flight)", st.Hits)
+	}
+	hits, misses := reg.Counter(MetricCacheHits).Value(), reg.Counter(MetricCacheMisses).Value()
+	if st.Hits != hits || st.Misses != misses {
+		t.Errorf("CacheStats hits/misses = %d/%d, registry %d/%d", st.Hits, st.Misses, hits, misses)
 	}
 }
 

@@ -266,6 +266,7 @@ func (e *Env) EvaluateCtx(ctx context.Context, app trace.Profile, proc config.Pr
 		case <-ent.done:
 			if ent.ready.Load() {
 				// Completed flight (success or a real error).
+				e.cache.hits.Add(1)
 				e.obs.cacheHits.Inc()
 			} else {
 				// The leader was cancelled; retry (possibly as leader).
