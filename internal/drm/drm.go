@@ -23,7 +23,6 @@ package drm
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"ramp/internal/check"
 	"ramp/internal/config"
@@ -238,23 +237,4 @@ func AdaptationByName(name string) (Adaptation, error) {
 		}
 	}
 	return 0, fmt.Errorf("drm: unknown adaptation %q (want Arch, DVS or ArchDVS)", name)
-}
-
-// FrequencyChoice returns, for a DVS-only sweep, the frequency the
-// oracle picks at the given qualification point (used by the DRM-vs-DTM
-// comparison, Figure 4).
-func (s *Sweep) FrequencyChoice(env *exp.Env, qual core.Qualification) (float64, Choice, error) {
-	c, err := s.Select(env, qual)
-	if err != nil {
-		return 0, Choice{}, err
-	}
-	return c.Proc.FreqHz, c, nil
-}
-
-// SortedByPerf returns the sweep's results ordered by descending BIPS
-// (diagnostic helper).
-func (s *Sweep) SortedByPerf() []exp.Result {
-	out := append([]exp.Result(nil), s.Candidates...)
-	sort.Slice(out, func(i, j int) bool { return out[i].BIPS > out[j].BIPS })
-	return out
 }

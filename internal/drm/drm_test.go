@@ -232,38 +232,3 @@ func TestSelectEmptySweepErrors(t *testing.T) {
 		t.Fatal("empty sweep did not error")
 	}
 }
-
-func TestFrequencyChoice(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full adaptation sweep; skipped in -short (race lane)")
-	}
-	o := quickOracle()
-	sweep, err := o.Sweep(trace.Art(), DVS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, c, err := sweep.FrequencyChoice(o.Env, o.Env.Qualification(370))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != c.Proc.FreqHz {
-		t.Fatalf("frequency %v != choice %v", f, c.Proc.FreqHz)
-	}
-}
-
-func TestSortedByPerf(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full adaptation sweep; skipped in -short (race lane)")
-	}
-	o := quickOracle()
-	sweep, err := o.Sweep(trace.Twolf(), DVS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sorted := sweep.SortedByPerf()
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i].BIPS > sorted[i-1].BIPS {
-			t.Fatal("not sorted by descending BIPS")
-		}
-	}
-}

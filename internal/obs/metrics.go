@@ -348,14 +348,14 @@ func (r *Registry) WritePrometheus(w io.Writer, prefix string) {
 	for _, name := range sortedKeys(s.Histograms) {
 		h := s.Histograms[name]
 		fmt.Fprintf(w, "# TYPE %s%s histogram\n", prefix, name)
-		writePromHistogram(w, prefix+name, "", h)
+		WritePromHistogram(w, prefix+name, "", h)
 	}
 }
 
-// writePromHistogram emits one histogram family's _bucket/_sum/_count
+// WritePromHistogram emits one histogram family's _bucket/_sum/_count
 // samples. labels, when non-empty, is a rendered label set without
 // braces (e.g. `route="evaluate"`).
-func writePromHistogram(w io.Writer, family, labels string, h HistogramSnapshot) {
+func WritePromHistogram(w io.Writer, family, labels string, h HistogramSnapshot) {
 	bounds := make([]string, 0, len(h.Buckets))
 	for le := range h.Buckets {
 		if le != "+Inf" {
@@ -382,13 +382,6 @@ func writePromHistogram(w io.Writer, family, labels string, h HistogramSnapshot)
 		fmt.Fprintf(w, "%s_sum{%s} %d\n", family, labels, h.Sum)
 		fmt.Fprintf(w, "%s_count{%s} %d\n", family, labels, h.Count)
 	}
-}
-
-// WritePromHistogram is the labeled-histogram helper the serve layer
-// uses to render its hand-rolled latency histograms alongside the
-// registry's instruments.
-func WritePromHistogram(w io.Writer, family, labels string, h HistogramSnapshot) {
-	writePromHistogram(w, family, labels, h)
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -351,15 +351,6 @@ func (w *Window) Deltas() []WindowDelta {
 	return out
 }
 
-// Tail returns the most recent n retained deltas, oldest first.
-func (w *Window) Tail(n int) []WindowDelta {
-	all := w.Deltas()
-	if n >= len(all) {
-		return all
-	}
-	return all[len(all)-n:]
-}
-
 // Rate returns the named counter's per-second rate across every
 // retained window (total delta over total retained time).
 func (w *Window) Rate(counter string) float64 {

@@ -78,9 +78,6 @@ func NewModelWithBudget(fp *floorplan.Floorplan, tech config.Tech, maxDyn Vector
 	return &Model{fp: fp, tech: tech, maxDyn: maxDyn}
 }
 
-// MaxDynamic returns the model's per-structure dynamic budget.
-func (m *Model) MaxDynamic() Vector { return m.maxDyn }
-
 // Dynamic returns structure s's dynamic power (W) at the given activity
 // factor, operating point, and powered-on fraction.
 //

@@ -21,8 +21,8 @@ func TestDynamicIdleFloor(t *testing.T) {
 	if math.Abs(idle/full-IdleFraction) > 1e-12 {
 		t.Fatalf("idle/full = %v, want %v", idle/full, IdleFraction)
 	}
-	if full != m.MaxDynamic()[floorplan.IntALU] {
-		t.Fatalf("full-activity power %v != budget %v", full, m.MaxDynamic()[floorplan.IntALU])
+	if full != m.maxDyn[floorplan.IntALU] {
+		t.Fatalf("full-activity power %v != budget %v", full, m.maxDyn[floorplan.IntALU])
 	}
 }
 

@@ -1,12 +1,11 @@
 // Package stats provides small statistics utilities shared by the
 // simulator, power, thermal and reliability models: event counters,
-// running means, and series summaries.
+// running means, quantiles and geometric means.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Counter is a monotonically increasing event counter.
@@ -60,52 +59,6 @@ func (m *Mean) Count() uint64 { return m.n }
 // Reset clears all samples.
 func (m *Mean) Reset() { *m = Mean{} }
 
-// Summary describes a float64 series.
-type Summary struct {
-	N         int
-	Min, Max  float64
-	Mean      float64
-	Std       float64
-	Median    float64
-	P5, P95   float64
-	Sum       float64
-	FirstLast [2]float64
-}
-
-// Summarize computes a Summary of xs. It returns a zero Summary for an
-// empty slice.
-func Summarize(xs []float64) Summary {
-	var s Summary
-	if len(xs) == 0 {
-		return s
-	}
-	s.N = len(xs)
-	s.Min, s.Max = xs[0], xs[0]
-	for _, x := range xs {
-		s.Sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.Sum / float64(len(xs))
-	var v float64
-	for _, x := range xs {
-		d := x - s.Mean
-		v += d * d
-	}
-	s.Std = math.Sqrt(v / float64(len(xs)))
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Median = Quantile(sorted, 0.5)
-	s.P5 = Quantile(sorted, 0.05)
-	s.P95 = Quantile(sorted, 0.95)
-	s.FirstLast = [2]float64{xs[0], xs[len(xs)-1]}
-	return s
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of a sorted slice using
 // linear interpolation. It panics if xs is empty or q is out of range.
 func Quantile(sorted []float64, q float64) float64 {
@@ -142,32 +95,4 @@ func GeoMean(xs []float64) float64 {
 		logSum += math.Log(x)
 	}
 	return math.Exp(logSum / float64(len(xs)))
-}
-
-// Clamp limits x to the inclusive range [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// AlmostEqual reports whether a and b are equal within a relative
-// tolerance rel (and an absolute floor of rel for values near zero).
-func AlmostEqual(a, b, rel float64) bool {
-	// Exact-equality fast path: also the only correct answer for equal
-	// infinities, where the difference below would be NaN.
-	if a == b { //rampvet:ignore floatcmp epsilon comparator's own fast path
-
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale < 1 {
-		scale = 1
-	}
-	return diff <= rel*scale
 }
