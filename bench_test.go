@@ -10,6 +10,8 @@ package ramp_test
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -19,6 +21,7 @@ import (
 	"ramp/internal/figures"
 	"ramp/internal/fleet"
 	"ramp/internal/sched"
+	"ramp/internal/serve"
 	"ramp/internal/trace"
 )
 
@@ -279,6 +282,28 @@ func BenchmarkEvaluateCacheHit(b *testing.B) {
 		if _, err := env.Evaluate(app, env.Base, qualAt(env, quals[i%len(quals)])); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkServeEvaluateHandler measures one warm POST /v1/evaluate
+// through rampserve's handler chain (middleware, admission, cache hit,
+// JSON encode) with an httptest recorder: the server's request path
+// without the network.
+func BenchmarkServeEvaluateHandler(b *testing.B) {
+	h := serve.New(quickEnv(), serve.DefaultConfig()).Handler()
+	evaluate := func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(`{"app":"bzip2","tqual_k":345}`))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	evaluate() // the one simulation; every timed request is a cache hit
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		evaluate()
 	}
 }
 
