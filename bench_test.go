@@ -158,6 +158,34 @@ func BenchmarkDieEvaluate(b *testing.B) {
 	b.ReportMetric(r.LifetimeYears, "lifetime-years")
 }
 
+// BenchmarkSchedPolicies measures the analysis workload's scheduler
+// shape: one eight-core die at quick settings over 400 epochs, run
+// under each policy. Static and coolest placements repeat (demand row,
+// assignment) pairs and replay most epochs from the pass's memo;
+// eight-core wear-leveling hardly ever repeats one, so it solves
+// almost every epoch.
+func BenchmarkSchedPolicies(b *testing.B) {
+	env := quickEnv()
+	cfg := sched.DefaultConfig(8, env.Opts)
+	cfg.Epochs = 400
+	sim, err := sched.New(env, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, p := range sched.Policies() {
+		b.Run(p.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			var r sched.Result
+			for i := 0; i < b.N; i++ {
+				if r, err = sim.Run(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(r.LifetimeYears, "lifetime-years")
+		})
+	}
+}
+
 // ---- substrate micro-benchmarks ----
 
 // BenchmarkSimulator measures raw simulation speed (instructions/op).

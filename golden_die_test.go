@@ -31,7 +31,10 @@ func TestGoldenDieEquivalence(t *testing.T) {
 	// RAMP: replaying the evaluation's epoch rows through a one-core
 	// DieEngine reproduces the evaluation's own Assessment byte for byte
 	// (same accumulation order, same budget — TargetFIT/1 is exact).
-	de := core.MustNewDieEngine(die, env.Params, qual)
+	de, err := core.NewDieEngine(die, env.Params, qual)
+	if err != nil {
+		t.Fatal(err)
+	}
 	on := power.OnFractions(env.Base, env.Base)
 	for i := range res.Epochs {
 		row := &res.Epochs[i]
@@ -45,9 +48,11 @@ func TestGoldenDieEquivalence(t *testing.T) {
 				OnFraction: on[s],
 			}
 		}
-		if err := de.ObserveCore(0, iv); err != nil {
+		o, err := de.RecordCore(0, iv)
+		if err != nil {
 			t.Fatal(err)
 		}
+		de.FoldCore(0, &o)
 	}
 	da, err := de.Assess()
 	if err != nil {

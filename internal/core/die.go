@@ -22,7 +22,6 @@ import (
 // (TargetFIT/1 is the identical float), and its assessment is
 // byte-identical to the plain Engine's.
 type DieEngine struct {
-	die   *floorplan.Die
 	cores []*Engine
 }
 
@@ -34,7 +33,7 @@ func NewDieEngine(die *floorplan.Die, p Params, q Qualification) (*DieEngine, er
 	}
 	qc := q
 	qc.TargetFIT = q.TargetFIT / float64(die.NCores)
-	d := &DieEngine{die: die, cores: make([]*Engine, die.NCores)}
+	d := &DieEngine{cores: make([]*Engine, die.NCores)}
 	for k := range d.cores {
 		e, err := NewEngine(die.Base, p, qc)
 		if err != nil {
@@ -45,46 +44,29 @@ func NewDieEngine(die *floorplan.Die, p Params, q Qualification) (*DieEngine, er
 	return d, nil
 }
 
-// MustNewDieEngine is NewDieEngine, panicking on invalid inputs.
-func MustNewDieEngine(die *floorplan.Die, p Params, q Qualification) *DieEngine {
-	d, err := NewDieEngine(die, p, q)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// NCores returns the die's core count.
-func (d *DieEngine) NCores() int { return len(d.cores) }
-
-// Core returns core k's engine (its budget, wear state and assessments).
-func (d *DieEngine) Core(k int) *Engine { return d.cores[k] }
-
-// SetTimers attaches per-mechanism FIT timers to every core's engine.
-func (d *DieEngine) SetTimers(t *FITTimers) {
-	for _, e := range d.cores {
-		e.SetTimers(t)
-	}
-}
-
-// Reset clears every core's accumulated observations.
+// Reset clears every core's accumulated observations, leaving the
+// engine as NewDieEngine built it.
 func (d *DieEngine) Reset() {
 	for _, e := range d.cores {
 		e.Reset()
 	}
 }
 
-// ObserveCore folds one interval into core k's wear accumulator. This
-// is the per-core observe path of the die evaluation loop — called once
-// per core per epoch — and performs no heap allocation on success.
+// RecordCore validates one interval of core k and evaluates its rate
+// models, without folding it (see Engine.Record).
 //
 //ramp:hot
-func (d *DieEngine) ObserveCore(k int, iv Interval) error {
-	if k < 0 || k >= len(d.cores) {
-		panic(fmt.Sprintf("core: ObserveCore core %d out of range [0,%d)", k, len(d.cores)))
-	}
-	return d.cores[k].Observe(iv)
+func (d *DieEngine) RecordCore(k int, iv Interval) (Observation, error) {
+	return d.cores[k].Record(iv)
 }
+
+// FoldCore adds one recorded observation to core k's wear accumulator
+// (see Engine.Fold). It is the per-core half of the die evaluation
+// loop, called once per core per epoch, and performs no heap
+// allocation.
+//
+//ramp:hot
+func (d *DieEngine) FoldCore(k int, o *Observation) { d.cores[k].Fold(o) }
 
 // WearFITSeconds returns the engine's raw wear accumulator: the
 // time-integral of instantaneous FIT (FIT·seconds) summed over every

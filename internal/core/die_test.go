@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ramp/internal/floorplan"
@@ -15,15 +16,33 @@ func dieInterval(tempK float64) Interval {
 	return iv
 }
 
+func newDieEngine(t *testing.T, n int) *DieEngine {
+	t.Helper()
+	d, err := NewDieEngine(floorplan.MustNewDie(floorplan.R10000Like(), n), params(), qual())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// observeCore records one interval of core k and folds it.
+func observeCore(t *testing.T, d *DieEngine, k int, iv Interval) {
+	t.Helper()
+	o, err := d.RecordCore(k, iv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.FoldCore(k, &o)
+}
+
 // TestDieEngineN1MatchesEngine pins the tentpole contract: a one-core
 // DieEngine is the plain Engine bit for bit — same budget (TargetFIT/1
 // is the identical float), same accumulators, same assessment.
 func TestDieEngineN1MatchesEngine(t *testing.T) {
-	fp := floorplan.R10000Like()
-	e := MustNewEngine(fp, params(), qual())
-	d := MustNewDieEngine(floorplan.MustNewDie(fp, 1), params(), qual())
+	e := MustNewEngine(floorplan.R10000Like(), params(), qual())
+	d := newDieEngine(t, 1)
 
-	be, bd := e.Budget(), d.Core(0).Budget()
+	be, bd := e.Budget(), d.cores[0].Budget()
 	if be.Alloc != bd.Alloc || be.QualRate != bd.QualRate {
 		t.Fatal("N=1 die budget differs from single-core budget")
 	}
@@ -33,9 +52,7 @@ func TestDieEngineN1MatchesEngine(t *testing.T) {
 		if err := e.Observe(iv); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.ObserveCore(0, iv); err != nil {
-			t.Fatal(err)
-		}
+		observeCore(t, d, 0, iv)
 	}
 	want := e.MustAssess()
 	got, err := d.Assess()
@@ -58,14 +75,13 @@ func TestDieEngineN1MatchesEngine(t *testing.T) {
 // core's budget is the chip budget divided by n, so the SOFR total at
 // qualification conditions still meets the chip TargetFIT.
 func TestDieEngineBudgetSplit(t *testing.T) {
-	fp := floorplan.R10000Like()
 	n := 4
-	d := MustNewDieEngine(floorplan.MustNewDie(fp, n), params(), qual())
-	chip := MustNewEngine(fp, params(), qual())
+	d := newDieEngine(t, n)
+	chip := MustNewEngine(floorplan.R10000Like(), params(), qual())
 
 	var sum float64
 	for k := 0; k < n; k++ {
-		b := d.Core(k).Budget()
+		b := d.cores[k].Budget()
 		for s := floorplan.Structure(0); s < floorplan.NumStructures; s++ {
 			for _, m := range Mechanisms() {
 				if want := chip.Budget().Alloc[s][m] / float64(n); math.Abs(b.Alloc[s][m]-want) > 1e-12 {
@@ -84,15 +100,12 @@ func TestDieEngineBudgetSplit(t *testing.T) {
 // per-core totals (series failure system), the worst core sets
 // MinCoreMTTFYears, and per-core wear accumulates independently.
 func TestDieEngineSOFR(t *testing.T) {
-	fp := floorplan.R10000Like()
-	d := MustNewDieEngine(floorplan.MustNewDie(fp, 4), params(), qual())
+	d := newDieEngine(t, 4)
 
 	temps := []float64{350, 365, 380, 340} // core 2 runs hottest
 	for e := 0; e < 5; e++ {
 		for k := 0; k < 4; k++ {
-			if err := d.ObserveCore(k, dieInterval(temps[k])); err != nil {
-				t.Fatal(err)
-			}
+			observeCore(t, d, k, dieInterval(temps[k]))
 		}
 	}
 	a, err := d.Assess()
@@ -120,23 +133,72 @@ func TestDieEngineSOFR(t *testing.T) {
 	}
 
 	// Assessing an unobserved die fails per-core.
-	d2 := MustNewDieEngine(floorplan.MustNewDie(fp, 2), params(), qual())
-	if _, err := d2.Assess(); err == nil {
+	if _, err := newDieEngine(t, 2).Assess(); err == nil {
 		t.Fatal("Assess on unobserved die should fail")
 	}
 }
 
-// TestObserveCoreAllocFree pins the per-core observe hot path: zero heap
-// allocations per interval.
-func TestObserveCoreAllocFree(t *testing.T) {
-	d := MustNewDieEngine(floorplan.MustNewDie(floorplan.R10000Like(), 4), params(), qual())
+// TestRecordFoldCoreAllocFree pins the per-core observe hot path:
+// recording and folding an interval make no heap allocation.
+func TestRecordFoldCoreAllocFree(t *testing.T) {
+	d := newDieEngine(t, 4)
 	iv := dieInterval(355)
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := d.ObserveCore(1, iv); err != nil {
+		o, err := d.RecordCore(1, iv)
+		if err != nil {
 			t.Fatal(err)
 		}
+		d.FoldCore(1, &o)
 	})
 	if allocs != 0 {
-		t.Fatalf("ObserveCore allocates %.1f times per interval, want 0", allocs)
+		t.Fatalf("RecordCore+FoldCore allocate %.1f times per interval, want 0", allocs)
+	}
+}
+
+// TestFoldReplaysObserve pins the contract the scheduler's replay rests
+// on: folding a stored observation again is observing its interval
+// again, bit for bit, in assessment and wear.
+func TestFoldReplaysObserve(t *testing.T) {
+	fp := floorplan.R10000Like()
+	live := MustNewEngine(fp, params(), qual())
+	replay := MustNewEngine(fp, params(), qual())
+	ivs := []Interval{dieInterval(350), dieInterval(371.25)}
+	ivs[1].DurationSec = 0.7
+	var stored [2]Observation
+	for i, iv := range ivs {
+		o, err := replay.Record(iv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored[i] = o
+	}
+	for _, i := range []int{0, 1, 0, 0, 1} {
+		if err := live.Observe(ivs[i]); err != nil {
+			t.Fatal(err)
+		}
+		replay.Fold(&stored[i])
+		if live.WearFITSeconds() != replay.WearFITSeconds() {
+			t.Fatalf("wear after folding interval %d: %v, observed %v", i, replay.WearFITSeconds(), live.WearFITSeconds())
+		}
+	}
+	if got, want := replay.MustAssess(), live.MustAssess(); got != want {
+		t.Fatalf("replayed assessment differs:\n replay  %+v\n observe %+v", got, want)
+	}
+	if _, err := replay.Record(Interval{}); err == nil {
+		t.Fatal("Record accepted a zero-duration interval")
+	}
+}
+
+// TestDieEngineResetIsFresh checks that Reset returns a die engine to
+// exactly the state NewDieEngine builds, so one engine serves every
+// sink pass of a scheduling run.
+func TestDieEngineResetIsFresh(t *testing.T) {
+	d := newDieEngine(t, 3)
+	for k := 0; k < 3; k++ {
+		observeCore(t, d, k, dieInterval(350+5*float64(k)))
+	}
+	d.Reset()
+	if fresh := newDieEngine(t, 3); !reflect.DeepEqual(d, fresh) {
+		t.Fatal("reset die engine differs from a fresh one")
 	}
 }

@@ -14,6 +14,15 @@ type Interval struct {
 	Structures  [floorplan.NumStructures]Conditions
 }
 
+// temps returns each structure's temperature.
+func (iv *Interval) temps() [floorplan.NumStructures]float64 {
+	var t [floorplan.NumStructures]float64
+	for s := range iv.Structures {
+		t[s] = iv.Structures[s].TempK
+	}
+	return t
+}
+
 // Engine computes application-level FIT values (Section 3.6) from a
 // stream of intervals: it folds each interval's instantaneous
 // per-structure, per-mechanism FIT into time-weighted sums as it
@@ -61,19 +70,51 @@ func (e *Engine) Budget() *Budget { return &e.budget }
 // Params exposes the engine's device-model constants.
 func (e *Engine) Params() Params { return e.params }
 
-// Observe folds one interval into the running averages. It rejects a
-// non-positive duration or temperature.
+// Observation is one interval as the engine folds it: its duration,
+// each structure's temperature, and each structure's EM, SM and TDDB
+// failure rates. Record evaluates it and Fold adds it to the running
+// averages; folding the same observation twice is the same as
+// observing its interval twice.
+type Observation struct {
+	durationSec float64
+	tempK       [floorplan.NumStructures]float64
+	rates       intervalRates
+}
+
+// Observe folds one interval into the running averages: Record, then
+// Fold. It rejects a non-positive duration or temperature.
 //
 //ramp:hot
 func (e *Engine) Observe(iv Interval) error {
-	var r intervalRates
-	if err := e.params.rates(&iv, e.timers, &r); err != nil {
+	o, err := e.Record(iv)
+	if err != nil {
 		return err
 	}
-	e.budget.fold(&e.fitSum, iv.DurationSec, &r)
-	e.sums.add(&iv)
-	e.n++
+	e.Fold(&o)
 	return nil
+}
+
+// Record validates one interval and evaluates its rate models with the
+// engine's timers, without folding it. It rejects a non-positive
+// duration or temperature.
+//
+//ramp:hot
+func (e *Engine) Record(iv Interval) (Observation, error) {
+	o := Observation{durationSec: iv.DurationSec, tempK: iv.temps()}
+	if err := e.params.rates(&iv, e.timers, &o.rates); err != nil {
+		return Observation{}, err
+	}
+	return o, nil
+}
+
+// Fold adds one recorded observation to the time-weighted FIT sums and
+// the temperature sums. It evaluates no rate model.
+//
+//ramp:hot
+func (e *Engine) Fold(o *Observation) {
+	e.budget.fold(&e.fitSum, o.durationSec, &o.rates)
+	e.sums.add(o.durationSec, &o.tempK)
+	e.n++
 }
 
 // Reset clears all accumulated observations (timers stay attached).

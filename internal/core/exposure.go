@@ -62,7 +62,8 @@ func NewExposure(p Params, n int, t *FITTimers, interval func(i int) Interval) (
 			return nil, err
 		}
 		rec.durationSec = iv.DurationSec
-		sums.add(&iv)
+		temps := iv.temps()
+		sums.add(iv.DurationSec, &temps)
 	}
 	x.avgTempK, x.tcRate = sums.averages(p, t)
 	x.maxTempK, x.timeSec = sums.maxTempK, sums.timeSec
@@ -172,13 +173,12 @@ type tempSums struct {
 	maxTempK float64
 }
 
-// add folds one validated interval into the sums.
+// add folds one validated interval of duration w and per-structure
+// temperatures temps into the sums.
 //
 //ramp:hot
-func (ts *tempSums) add(iv *Interval) {
-	w := iv.DurationSec
-	for s := range iv.Structures {
-		k := iv.Structures[s].TempK
+func (ts *tempSums) add(w float64, temps *[floorplan.NumStructures]float64) {
+	for s, k := range temps {
 		ts.tempSum[s] += w * k
 		if k > ts.maxTempK {
 			ts.maxTempK = k

@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"ramp/internal/exp"
@@ -24,11 +27,11 @@ func TestGroupsPartitionSuite(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 16} {
 		s := quickSim(t, n)
 		want := min(n, len(trace.Apps()))
-		if len(s.Groups()) != want {
-			t.Fatalf("N=%d: %d groups, want %d", n, len(s.Groups()), want)
+		if len(s.groups) != want {
+			t.Fatalf("N=%d: %d groups, want %d", n, len(s.groups), want)
 		}
 		seen := make([]int, len(trace.Apps()))
-		for _, apps := range s.Groups() {
+		for _, apps := range s.groups {
 			if len(apps) == 0 {
 				t.Fatalf("N=%d: empty group", n)
 			}
@@ -156,7 +159,7 @@ func TestN1PoliciesCoincide(t *testing.T) {
 // positive workload FIT, MTTF in a plausible range.
 func TestSingleCoreDRM(t *testing.T) {
 	env := exp.NewEnv(exp.QuickOptions())
-	fit, years, err := SingleCoreDRM(env, 400)
+	fit, years, err := SingleCoreDRMCtx(context.Background(), env, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,5 +168,65 @@ func TestSingleCoreDRM(t *testing.T) {
 	}
 	if years < 1 || years > 500 {
 		t.Fatalf("baseline MTTF %.2f years implausible", years)
+	}
+}
+
+// TestDieSOFRInvariant checks the paper's sum-of-failure-rates model
+// (Section 3.5) on scheduled dies: the chip is a series system of its
+// cores and each core of its structures, and every failure mechanism
+// has a constant rate, so rates add. Over seeded draws of die size,
+// policy, T_qual and run length, the chip FIT is the sum of the cores'
+// total FITs, each core's total is the sum of its structure ×
+// mechanism FITs, no FIT is negative, the worst core attains the
+// shortest core MTTF, and the chip's MTTF is no longer than that.
+func TestDieSOFRInvariant(t *testing.T) {
+	env := sharedEnv()
+	rng := rand.New(rand.NewSource(35))
+	near := func(got, want float64) bool {
+		return math.Abs(got-want) <= 1e-12*math.Abs(want)
+	}
+	for i := 0; i < 40; i++ {
+		n := 1 + rng.Intn(16)
+		p := Policy(rng.Intn(int(NumPolicies)))
+		tq := 330 + 70*rng.Float64()
+		epochs := 1 + rng.Intn(24)
+		name := fmt.Sprintf("N=%d %v Tqual=%.3f epochs=%d", n, p, tq, epochs)
+		r, err := newSim(t, env, n, epochs, tq).Run(p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		a := r.Assessment
+		if len(a.Cores) != n {
+			t.Fatalf("%s: %d core assessments", name, len(a.Cores))
+		}
+		var chip float64
+		for k, c := range a.Cores {
+			var sum float64
+			for s := range c.FIT {
+				for m, fit := range c.FIT[s] {
+					if !(fit >= 0) || math.IsInf(fit, 0) {
+						t.Fatalf("%s: core %d FIT[%d][%d] = %v", name, k, s, m, fit)
+					}
+					sum += fit
+				}
+			}
+			if !near(c.TotalFIT, sum) {
+				t.Fatalf("%s: core %d TotalFIT %v, structure × mechanism sum %v", name, k, c.TotalFIT, sum)
+			}
+			chip += c.TotalFIT
+			if c.MTTFYears < a.MinCoreMTTFYears {
+				t.Fatalf("%s: core %d MTTF %v y below the minimum %v y", name, k, c.MTTFYears, a.MinCoreMTTFYears)
+			}
+		}
+		if !near(a.ChipFIT, chip) || r.ChipFIT != a.ChipFIT {
+			t.Fatalf("%s: ChipFIT %v (result %v), sum of core totals %v", name, a.ChipFIT, r.ChipFIT, chip)
+		}
+		if a.Cores[a.WorstCore].MTTFYears != a.MinCoreMTTFYears || r.LifetimeYears != a.MinCoreMTTFYears {
+			t.Fatalf("%s: worst core %d MTTF %v y, minimum %v y, lifetime %v y",
+				name, a.WorstCore, a.Cores[a.WorstCore].MTTFYears, a.MinCoreMTTFYears, r.LifetimeYears)
+		}
+		if !(a.ChipMTTFYears <= a.MinCoreMTTFYears) {
+			t.Fatalf("%s: chip MTTF %v y above the worst core's %v y", name, a.ChipMTTFYears, a.MinCoreMTTFYears)
+		}
 	}
 }
