@@ -368,7 +368,7 @@ func BenchmarkScalingStudy(b *testing.B) {
 	var rows []figures.ScalingRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = figures.ScalingStudy(exp.QuickOptions())
+		rows, err = figures.ScalingStudy(exp.QuickOptions(), nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,9 +13,13 @@
 //	ctxflow     ctx-bearing functions severing cancellation from long-running work
 //	hotalloc    allocation sources inside //ramp:hot functions
 //	goroleak    goroutines with no ctx/channel/WaitGroup escape route
+//	unreached   functions under internal/ that no artifact reaches
 //
-// The last four are flow-aware: they consult the package call graph and
-// per-function control-flow graphs built by internal/lint/flow.
+// Four are flow-aware: detmap, ctxflow, hotalloc and goroleak consult
+// the package call graph and per-function control-flow graphs built by
+// internal/lint/flow. unreached loads the whole module from its root,
+// whatever the package patterns, and walks its uses from every main
+// package, the ramp.go facade and every init.
 //
 // Usage:
 //

@@ -30,7 +30,7 @@ func main() {
 	if *quick {
 		opts = exp.QuickOptions()
 	}
-	rows, err := figures.ScalingStudyObs(opts, rt.Tracer, rt.Metrics)
+	rows, err := figures.ScalingStudy(opts, rt.Tracer, rt.Metrics)
 	if err != nil {
 		rt.Fatal("scaling study failed", err)
 	}

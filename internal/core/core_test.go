@@ -22,6 +22,45 @@ func conds(tempK float64) Conditions {
 	return Conditions{TempK: tempK, VddV: 1.0, FreqHz: 4e9, Activity: 0.5, OnFraction: 1}
 }
 
+// mustEngine is NewEngine, panicking on invalid inputs.
+func mustEngine(fp *floorplan.Floorplan, p Params, q Qualification) *Engine {
+	e, err := NewEngine(fp, p, q)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// mustAssess is e.Assess, panicking if nothing was observed.
+func mustAssess(e *Engine) Assessment {
+	a, err := e.Assess()
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+// constantConditionsFIT is the total FIT if every structure ran forever
+// at conditions c.
+func constantConditionsFIT(fp *floorplan.Floorplan, p Params, q Qualification, c Conditions) (float64, error) {
+	e, err := NewEngine(fp, p, q)
+	if err != nil {
+		return 0, err
+	}
+	iv := Interval{DurationSec: 1}
+	for s := range iv.Structures {
+		iv.Structures[s] = c
+	}
+	if err := e.Observe(iv); err != nil {
+		return 0, err
+	}
+	a, err := e.Assess()
+	if err != nil {
+		return 0, err
+	}
+	return a.TotalFIT, nil
+}
+
 func TestMechanismString(t *testing.T) {
 	if EM.String() != "EM" || TDDB.String() != "TDDB" || TC.String() != "TC" {
 		t.Fatal("mechanism names broken")
@@ -220,7 +259,7 @@ func TestQualificationRoundTrip(t *testing.T) {
 	// budget-ratio formulation.
 	fp := floorplan.R10000Like()
 	q := qual()
-	e := MustNewEngine(fp, params(), q)
+	e := mustEngine(fp, params(), q)
 	iv := Interval{DurationSec: 1}
 	for s := range iv.Structures {
 		iv.Structures[s] = q.Conditions()
@@ -228,7 +267,7 @@ func TestQualificationRoundTrip(t *testing.T) {
 	if err := e.Observe(iv); err != nil {
 		t.Fatal(err)
 	}
-	a := e.MustAssess()
+	a := mustAssess(e)
 	if math.Abs(a.TotalFIT-q.TargetFIT) > 1e-6 {
 		t.Fatalf("FIT at qualification point = %v, want %v", a.TotalFIT, q.TargetFIT)
 	}
@@ -240,7 +279,7 @@ func TestQualificationRoundTrip(t *testing.T) {
 
 func TestCoolerRunBeatsTarget(t *testing.T) {
 	fp := floorplan.R10000Like()
-	fit, err := ConstantConditionsFIT(fp, params(), qual(), conds(360))
+	fit, err := constantConditionsFIT(fp, params(), qual(), conds(360))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +290,7 @@ func TestCoolerRunBeatsTarget(t *testing.T) {
 
 func TestHotterRunMissesTarget(t *testing.T) {
 	fp := floorplan.R10000Like()
-	fit, err := ConstantConditionsFIT(fp, params(), qual(), conds(420))
+	fit, err := constantConditionsFIT(fp, params(), qual(), conds(420))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +306,7 @@ func TestTimeAveraging(t *testing.T) {
 	p := params()
 	q := qual()
 
-	mkEngine := func() *Engine { return MustNewEngine(fp, p, q) }
+	mkEngine := func() *Engine { return mustEngine(fp, p, q) }
 	observe := func(e *Engine, temp, dur float64) {
 		iv := Interval{DurationSec: dur}
 		for s := range iv.Structures {
@@ -280,16 +319,16 @@ func TestTimeAveraging(t *testing.T) {
 
 	eHot := mkEngine()
 	observe(eHot, 390, 1)
-	hot := eHot.MustAssess()
+	hot := mustAssess(eHot)
 
 	eCold := mkEngine()
 	observe(eCold, 350, 1)
-	cold := eCold.MustAssess()
+	cold := mustAssess(eCold)
 
 	eMix := mkEngine()
 	observe(eMix, 390, 1)
 	observe(eMix, 350, 1)
-	mix := eMix.MustAssess()
+	mix := mustAssess(eMix)
 
 	for _, m := range []Mechanism{EM, SM, TDDB} {
 		want := (hot.ByMechanism()[m] + cold.ByMechanism()[m]) / 2
@@ -312,7 +351,7 @@ func TestTimeAveraging(t *testing.T) {
 
 func TestEngineValidation(t *testing.T) {
 	fp := floorplan.R10000Like()
-	e := MustNewEngine(fp, params(), qual())
+	e := mustEngine(fp, params(), qual())
 	if _, err := e.Assess(); err == nil {
 		t.Fatal("Assess with no observations should error")
 	}
@@ -327,7 +366,7 @@ func TestEngineValidation(t *testing.T) {
 
 func TestEngineReset(t *testing.T) {
 	fp := floorplan.R10000Like()
-	e := MustNewEngine(fp, params(), qual())
+	e := mustEngine(fp, params(), qual())
 	iv := Interval{DurationSec: 1}
 	for s := range iv.Structures {
 		iv.Structures[s] = conds(390)
@@ -342,14 +381,14 @@ func TestEngineReset(t *testing.T) {
 	if err := e.Observe(iv); err != nil {
 		t.Fatal(err)
 	}
-	if e.MustAssess().Intervals != 1 {
+	if mustAssess(e).Intervals != 1 {
 		t.Fatal("reset did not clear interval count")
 	}
 }
 
 func TestAssessmentBreakdownsSum(t *testing.T) {
 	fp := floorplan.R10000Like()
-	e := MustNewEngine(fp, params(), qual())
+	e := mustEngine(fp, params(), qual())
 	iv := Interval{DurationSec: 2}
 	for s := range iv.Structures {
 		iv.Structures[s] = conds(380)
@@ -357,7 +396,7 @@ func TestAssessmentBreakdownsSum(t *testing.T) {
 	if err := e.Observe(iv); err != nil {
 		t.Fatal(err)
 	}
-	a := e.MustAssess()
+	a := mustAssess(e)
 	var byMech, byStruct float64
 	for _, x := range a.ByMechanism() {
 		byMech += x
@@ -411,8 +450,8 @@ func TestFITMonotoneInTemperature(t *testing.T) {
 		if t1 > t2 {
 			t1, t2 = t2, t1
 		}
-		f1, err1 := ConstantConditionsFIT(fp, p, q, conds(t1))
-		f2, err2 := ConstantConditionsFIT(fp, p, q, conds(t2))
+		f1, err1 := constantConditionsFIT(fp, p, q, conds(t1))
+		f2, err2 := constantConditionsFIT(fp, p, q, conds(t2))
 		return err1 == nil && err2 == nil && f1 <= f2+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(1))}); err != nil {
@@ -433,8 +472,8 @@ func TestFITMonotoneInVoltage(t *testing.T) {
 		}
 		c1, c2 := conds(370), conds(370)
 		c1.VddV, c2.VddV = v1, v2
-		f1, err1 := ConstantConditionsFIT(fp, p, q, c1)
-		f2, err2 := ConstantConditionsFIT(fp, p, q, c2)
+		f1, err1 := constantConditionsFIT(fp, p, q, c1)
+		f2, err2 := constantConditionsFIT(fp, p, q, c2)
 		return err1 == nil && err2 == nil && f1 <= f2+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(2))}); err != nil {
@@ -451,8 +490,8 @@ func TestFITMonotoneInGating(t *testing.T) {
 		on := 0.1 + 0.9*float64(raw%100)/100
 		c := conds(370)
 		c.OnFraction = on
-		partial, err1 := ConstantConditionsFIT(fp, p, q, c)
-		full, err2 := ConstantConditionsFIT(fp, p, q, conds(370))
+		partial, err1 := constantConditionsFIT(fp, p, q, c)
+		full, err2 := constantConditionsFIT(fp, p, q, conds(370))
 		return err1 == nil && err2 == nil && partial <= full+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(3))}); err != nil {

@@ -39,10 +39,10 @@ func observeCore(t *testing.T, d *DieEngine, k int, iv Interval) {
 // DieEngine is the plain Engine bit for bit — same budget (TargetFIT/1
 // is the identical float), same accumulators, same assessment.
 func TestDieEngineN1MatchesEngine(t *testing.T) {
-	e := MustNewEngine(floorplan.R10000Like(), params(), qual())
+	e := mustEngine(floorplan.R10000Like(), params(), qual())
 	d := newDieEngine(t, 1)
 
-	be, bd := e.Budget(), d.cores[0].Budget()
+	be, bd := &e.budget, &d.cores[0].budget
 	if be.Alloc != bd.Alloc || be.QualRate != bd.QualRate {
 		t.Fatal("N=1 die budget differs from single-core budget")
 	}
@@ -54,7 +54,7 @@ func TestDieEngineN1MatchesEngine(t *testing.T) {
 		}
 		observeCore(t, d, 0, iv)
 	}
-	want := e.MustAssess()
+	want := mustAssess(e)
 	got, err := d.Assess()
 	if err != nil {
 		t.Fatal(err)
@@ -77,14 +77,14 @@ func TestDieEngineN1MatchesEngine(t *testing.T) {
 func TestDieEngineBudgetSplit(t *testing.T) {
 	n := 4
 	d := newDieEngine(t, n)
-	chip := MustNewEngine(floorplan.R10000Like(), params(), qual())
+	chip := mustEngine(floorplan.R10000Like(), params(), qual())
 
 	var sum float64
 	for k := 0; k < n; k++ {
-		b := d.cores[k].Budget()
+		b := &d.cores[k].budget
 		for s := floorplan.Structure(0); s < floorplan.NumStructures; s++ {
 			for _, m := range Mechanisms() {
-				if want := chip.Budget().Alloc[s][m] / float64(n); math.Abs(b.Alloc[s][m]-want) > 1e-12 {
+				if want := chip.budget.Alloc[s][m] / float64(n); math.Abs(b.Alloc[s][m]-want) > 1e-12 {
 					t.Fatalf("core %d alloc[%v][%v] = %v, want %v", k, s, m, b.Alloc[s][m], want)
 				}
 				sum += b.Alloc[s][m]
@@ -160,8 +160,8 @@ func TestRecordFoldCoreAllocFree(t *testing.T) {
 // again, bit for bit, in assessment and wear.
 func TestFoldReplaysObserve(t *testing.T) {
 	fp := floorplan.R10000Like()
-	live := MustNewEngine(fp, params(), qual())
-	replay := MustNewEngine(fp, params(), qual())
+	live := mustEngine(fp, params(), qual())
+	replay := mustEngine(fp, params(), qual())
 	ivs := []Interval{dieInterval(350), dieInterval(371.25)}
 	ivs[1].DurationSec = 0.7
 	var stored [2]Observation
@@ -181,7 +181,7 @@ func TestFoldReplaysObserve(t *testing.T) {
 			t.Fatalf("wear after folding interval %d: %v, observed %v", i, replay.WearFITSeconds(), live.WearFITSeconds())
 		}
 	}
-	if got, want := replay.MustAssess(), live.MustAssess(); got != want {
+	if got, want := mustAssess(replay), mustAssess(live); got != want {
 		t.Fatalf("replayed assessment differs:\n replay  %+v\n observe %+v", got, want)
 	}
 	if _, err := replay.Record(Interval{}); err == nil {

@@ -38,7 +38,6 @@ func (iv *Interval) temps() [floorplan.NumStructures]float64 {
 type Engine struct {
 	params Params
 	budget Budget
-	timers *FITTimers // per-mechanism timing, nil = untimed
 
 	fitSum intervalRates // time-weighted FIT
 	sums   tempSums
@@ -54,21 +53,6 @@ func NewEngine(fp *floorplan.Floorplan, p Params, q Qualification) (*Engine, err
 	}
 	return &Engine{params: p, budget: b}, nil
 }
-
-// MustNewEngine is NewEngine, panicking on invalid inputs.
-func MustNewEngine(fp *floorplan.Floorplan, p Params, q Qualification) *Engine {
-	e, err := NewEngine(fp, p, q)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// Budget exposes the engine's qualification budget.
-func (e *Engine) Budget() *Budget { return &e.budget }
-
-// Params exposes the engine's device-model constants.
-func (e *Engine) Params() Params { return e.params }
 
 // Observation is one interval as the engine folds it: its duration,
 // each structure's temperature, and each structure's EM, SM and TDDB
@@ -94,14 +78,13 @@ func (e *Engine) Observe(iv Interval) error {
 	return nil
 }
 
-// Record validates one interval and evaluates its rate models with the
-// engine's timers, without folding it. It rejects a non-positive
-// duration or temperature.
+// Record validates one interval and evaluates its rate models, without
+// folding it. It rejects a non-positive duration or temperature.
 //
 //ramp:hot
 func (e *Engine) Record(iv Interval) (Observation, error) {
 	o := Observation{durationSec: iv.DurationSec, tempK: iv.temps()}
-	if err := e.params.rates(&iv, e.timers, &o.rates); err != nil {
+	if err := e.params.rates(&iv, nil, &o.rates); err != nil {
 		return Observation{}, err
 	}
 	return o, nil
@@ -117,9 +100,9 @@ func (e *Engine) Fold(o *Observation) {
 	e.n++
 }
 
-// Reset clears all accumulated observations (timers stay attached).
+// Reset clears all accumulated observations.
 func (e *Engine) Reset() {
-	*e = Engine{params: e.params, budget: e.budget, timers: e.timers}
+	*e = Engine{params: e.params, budget: e.budget}
 }
 
 // Assessment is the engine's verdict for the observed run.
@@ -167,36 +150,6 @@ func (e *Engine) Assess() (Assessment, error) {
 	if e.sums.timeSec <= 0 {
 		return Assessment{}, fmt.Errorf("core: nothing observed")
 	}
-	avgTempK, tcRate := e.sums.averages(e.params, e.timers)
+	avgTempK, tcRate := e.sums.averages(e.params, nil)
 	return e.budget.assessment(&e.fitSum, &avgTempK, &tcRate, e.sums.maxTempK, e.sums.timeSec, e.n), nil
-}
-
-// MustAssess is Assess, panicking if nothing was observed.
-func (e *Engine) MustAssess() Assessment {
-	a, err := e.Assess()
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
-// ConstantConditionsFIT is a convenience for steady-state analysis: the
-// total FIT if every structure ran forever at the given conditions.
-func ConstantConditionsFIT(fp *floorplan.Floorplan, p Params, q Qualification, c Conditions) (float64, error) {
-	e, err := NewEngine(fp, p, q)
-	if err != nil {
-		return 0, err
-	}
-	iv := Interval{DurationSec: 1}
-	for s := range iv.Structures {
-		iv.Structures[s] = c
-	}
-	if err := e.Observe(iv); err != nil {
-		return 0, err
-	}
-	a, err := e.Assess()
-	if err != nil {
-		return 0, err
-	}
-	return a.TotalFIT, nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ramp/internal/floorplan"
-	"ramp/internal/obs"
 )
 
 // variedIntervals is an interval stream whose temperatures, operating
@@ -38,32 +37,27 @@ func recordExposure(t testing.TB, ivs []Interval, timers *FITTimers) *Exposure {
 
 // TestExposureAssessMatchesEngine checks that a budget applied to a
 // recorded exposure equals streaming the same intervals through an
-// Engine, bit for bit, at several qualification points and with or
-// without timers.
+// Engine, bit for bit, at several qualification points.
 func TestExposureAssessMatchesEngine(t *testing.T) {
 	fp := floorplan.R10000Like()
 	ivs := variedIntervals(7)
 	plain := recordExposure(t, ivs, nil)
-	timed := recordExposure(t, ivs, NewFITTimers(obs.NewRegistry()))
 	for _, tq := range []float64{325, 347.5, 370, 400} {
 		q := qual()
 		q.TqualK = tq
-		e := MustNewEngine(fp, params(), q)
+		e := mustEngine(fp, params(), q)
 		for _, iv := range ivs {
 			if err := e.Observe(iv); err != nil {
 				t.Fatal(err)
 			}
 		}
-		want := e.MustAssess()
+		want := mustAssess(e)
 		b, err := NewBudget(fp, params(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := b.Assess(plain); got != want {
 			t.Errorf("T_qual %v: exposure assessment diverges from the engine:\nengine:   %+v\nexposure: %+v", tq, want, got)
-		}
-		if got := b.Assess(timed); got != want {
-			t.Errorf("T_qual %v: timed exposure diverges from the engine", tq)
 		}
 	}
 }

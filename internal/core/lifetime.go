@@ -22,7 +22,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"ramp/internal/check"
 	"ramp/internal/floorplan"
@@ -136,19 +135,6 @@ func (lm *LifetimeModel) cumHazard(tHours float64) float64 {
 	return cum
 }
 
-// Hazard returns the instantaneous failure rate (per hour) at t hours —
-// increasing over time for wear-out shapes, unlike SOFR's constant rate.
-func (lm *LifetimeModel) Hazard(tHours float64) float64 {
-	if tHours <= 0 {
-		tHours = 1e-9
-	}
-	var h float64
-	for _, c := range lm.comps {
-		h += c.shape / c.scale * math.Pow(tHours/c.scale, c.shape-1)
-	}
-	return h
-}
-
 // MTTFHours integrates the survival function to get the mean lifetime.
 func (lm *LifetimeModel) MTTFHours() float64 {
 	// The series-minimum lifetime is bounded by the shortest component
@@ -204,35 +190,6 @@ func (lm *LifetimeModel) TimeToFailureFraction(p float64) (float64, error) {
 		}
 	}
 	return (lo + hi) / 2, nil
-}
-
-// Sample draws one processor lifetime (hours): the minimum of one draw
-// per component (series system), using inverse-CDF sampling per Weibull.
-func (lm *LifetimeModel) Sample(rng *rand.Rand) float64 {
-	minT := math.Inf(1)
-	for _, c := range lm.comps {
-		u := rng.Float64()
-		for u == 0 {
-			u = rng.Float64()
-		}
-		t := c.scale * math.Pow(-math.Log(u), 1/c.shape)
-		if t < minT {
-			minT = t
-		}
-	}
-	check.NonNegative("core.LifetimeModel.Sample", minT)
-	return minT
-}
-
-// MonteCarloMTTFHours estimates the mean lifetime from n sampled
-// processors (cross-check for the analytic integral).
-func (lm *LifetimeModel) MonteCarloMTTFHours(n int, seed int64) float64 {
-	rng := rand.New(rand.NewSource(seed))
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += lm.Sample(rng)
-	}
-	return sum / float64(n)
 }
 
 // WeakestComponent returns the component with the smallest scale (the

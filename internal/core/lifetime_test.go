@@ -12,7 +12,7 @@ import (
 // assessAt builds an Assessment by observing constant conditions.
 func assessAt(t *testing.T, tempK float64) Assessment {
 	t.Helper()
-	e := MustNewEngine(floorplan.R10000Like(), params(), qual())
+	e := mustEngine(floorplan.R10000Like(), params(), qual())
 	iv := Interval{DurationSec: 1}
 	for s := range iv.Structures {
 		iv.Structures[s] = conds(tempK)
@@ -20,7 +20,7 @@ func assessAt(t *testing.T, tempK float64) Assessment {
 	if err := e.Observe(iv); err != nil {
 		t.Fatal(err)
 	}
-	return e.MustAssess()
+	return mustAssess(e)
 }
 
 func TestWorkloadFIT(t *testing.T) {
@@ -129,19 +129,25 @@ func TestLifetimePaperFootnote(t *testing.T) {
 	}
 }
 
+// TestLifetimeHazardIncreases checks wear-out: the hazard averaged over
+// years 20 to 25 of service exceeds the hazard averaged over years 0
+// to 5, so the cumulative hazard H(t) is convex.
 func TestLifetimeHazardIncreases(t *testing.T) {
 	a := assessAt(t, 385)
 	lm, err := NewLifetimeModel(a, DefaultShapes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1 := lm.Hazard(5 * 8760)
-	h2 := lm.Hazard(25 * 8760)
-	if h2 <= h1 {
-		t.Fatalf("wear-out hazard not increasing: %v -> %v", h1, h2)
+	const year = 8760
+	early := lm.cumHazard(5 * year)
+	late := lm.cumHazard(25*year) - lm.cumHazard(20*year)
+	if late <= early {
+		t.Fatalf("wear-out hazard not increasing: %v over years 0-5, %v over years 20-25", early, late)
 	}
 }
 
+// TestLifetimeMonteCarloMatchesAnalytic cross-checks the integrated
+// MTTF against the mean of sampled processor lifetimes.
 func TestLifetimeMonteCarloMatchesAnalytic(t *testing.T) {
 	a := assessAt(t, 390)
 	lm, err := NewLifetimeModel(a, DefaultShapes())
@@ -149,10 +155,39 @@ func TestLifetimeMonteCarloMatchesAnalytic(t *testing.T) {
 		t.Fatal(err)
 	}
 	analytic := lm.MTTFHours()
-	mc := lm.MonteCarloMTTFHours(20_000, 7)
+	mc := monteCarloMTTFHours(lm, 20_000, 7)
 	if math.Abs(mc-analytic) > 0.05*analytic {
 		t.Fatalf("Monte Carlo MTTF %v vs analytic %v", mc, analytic)
 	}
+}
+
+// sampleLifetime draws one processor lifetime (hours): the minimum of
+// one draw per component (series system), using inverse-CDF sampling
+// per Weibull.
+func sampleLifetime(lm *LifetimeModel, rng *rand.Rand) float64 {
+	minT := math.Inf(1)
+	for _, c := range lm.comps {
+		u := rng.Float64()
+		for u == 0 {
+			u = rng.Float64()
+		}
+		t := c.scale * math.Pow(-math.Log(u), 1/c.shape)
+		if t < minT {
+			minT = t
+		}
+	}
+	return minT
+}
+
+// monteCarloMTTFHours estimates the mean lifetime from n sampled
+// processors.
+func monteCarloMTTFHours(lm *LifetimeModel, n int, seed int64) float64 {
+	rng := rand.New(rand.NewSource(seed))
+	var sum float64
+	for i := 0; i < n; i++ {
+		sum += sampleLifetime(lm, rng)
+	}
+	return sum / float64(n)
 }
 
 func TestLifetimeQuantileInvariants(t *testing.T) {
@@ -236,7 +271,7 @@ func TestLifetimeMonotonicityQuick(t *testing.T) {
 }
 
 func assessQuick(tempK float64) Assessment {
-	e := MustNewEngine(floorplan.R10000Like(), params(), qual())
+	e := mustEngine(floorplan.R10000Like(), params(), qual())
 	iv := Interval{DurationSec: 1}
 	for s := range iv.Structures {
 		iv.Structures[s] = conds(tempK)
@@ -244,7 +279,7 @@ func assessQuick(tempK float64) Assessment {
 	if err := e.Observe(iv); err != nil {
 		panic(err)
 	}
-	return e.MustAssess()
+	return mustAssess(e)
 }
 
 // TestLifetimeHazardMatchesComponentSum pins the series system's
@@ -260,7 +295,7 @@ func TestLifetimeHazardMatchesComponentSum(t *testing.T) {
 	shapeSets := []WeibullShapes{DefaultShapes(), {1, 1, 1, 1}, {1.3, 3.1, 0.8, 2.6}}
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 6; trial++ {
-		e := MustNewEngine(floorplan.R10000Like(), params(), qual())
+		e := mustEngine(floorplan.R10000Like(), params(), qual())
 		iv := Interval{DurationSec: 1}
 		for s := range iv.Structures {
 			c := conds(330 + 75*rng.Float64())
@@ -270,7 +305,7 @@ func TestLifetimeHazardMatchesComponentSum(t *testing.T) {
 		if err := e.Observe(iv); err != nil {
 			t.Fatal(err)
 		}
-		a := e.MustAssess()
+		a := mustAssess(e)
 		for _, shapes := range shapeSets {
 			lm, err := NewLifetimeModel(a, shapes)
 			if err != nil {

@@ -4,9 +4,8 @@ import "ramp/internal/obs"
 
 // FITTimers accumulates the time spent evaluating each failure
 // mechanism's rate model, in nanoseconds, across every exposure recorded
-// with them and every Observe/Assess of an engine they are attached to.
-// Budget.Assess evaluates no rate model, so requalification adds
-// nothing. The counters answer the profiling question pprof flattens
+// with them. Budget.Assess evaluates no rate model, so requalification
+// adds nothing. The counters answer the profiling question pprof flattens
 // away: of the RAMP arithmetic, how much goes to EM vs SM vs TDDB vs TC?
 type FITTimers struct {
 	EM, SM, TDDB, TC *obs.Counter
@@ -40,9 +39,3 @@ func (t *FITTimers) counter(m Mechanism) *obs.Counter {
 		return t.TC
 	}
 }
-
-// SetTimers attaches per-mechanism FIT timers to the engine. Timing is
-// observational only: the timed and untimed engines evaluate the same
-// rates and fold them identically, so their assessments are bitwise
-// equal (TestObserveTimedBitwiseIdentical).
-func (e *Engine) SetTimers(t *FITTimers) { e.timers = t }

@@ -8,60 +8,55 @@ import (
 )
 
 // TestObserveTimedBitwiseIdentical proves the per-mechanism FIT timers
-// are observational only: an engine with timers attached produces a
-// bitwise-identical assessment to the untimed engine over the same
-// interval stream.
+// are observational only: an exposure recorded with timers attached
+// assesses bitwise-identically to the untimed exposure of the same
+// interval stream, at every qualification point.
 func TestObserveTimedBitwiseIdentical(t *testing.T) {
 	fp := floorplan.R10000Like()
-	plain := MustNewEngine(fp, params(), qual())
-	timed := MustNewEngine(fp, params(), qual())
-	timed.SetTimers(NewFITTimers(obs.NewRegistry()))
-	for _, iv := range variedIntervals(7) {
-		if err := plain.Observe(iv); err != nil {
+	ivs := variedIntervals(7)
+	plain := recordExposure(t, ivs, nil)
+	timed := recordExposure(t, ivs, NewFITTimers(obs.NewRegistry()))
+	for _, tq := range []float64{325, 347.5, 370, 400} {
+		q := qual()
+		q.TqualK = tq
+		b, err := NewBudget(fp, params(), q)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := timed.Observe(iv); err != nil {
-			t.Fatal(err)
+		if pa, ta := b.Assess(plain), b.Assess(timed); pa != ta {
+			t.Errorf("T_qual %v: timed assessment diverges from untimed:\nplain: %+v\ntimed: %+v", tq, pa, ta)
 		}
-	}
-	pa := plain.MustAssess()
-	ta := timed.MustAssess()
-	if pa != ta {
-		t.Errorf("timed assessment diverges from untimed:\nplain: %+v\ntimed: %+v", pa, ta)
 	}
 }
 
-// TestFITTimersAccumulate checks the timers actually record time and
-// survive Reset.
+// TestFITTimersAccumulate checks the timers record time for every
+// mechanism, thermal cycling included, on each exposure recorded with
+// them.
 func TestFITTimersAccumulate(t *testing.T) {
 	reg := obs.NewRegistry()
-	e := MustNewEngine(floorplan.R10000Like(), params(), qual())
-	e.SetTimers(NewFITTimers(reg))
+	timers := NewFITTimers(reg)
 	iv := Interval{DurationSec: 1}
 	for s := range iv.Structures {
 		iv.Structures[s] = conds(360)
 	}
-	for i := 0; i < 50; i++ {
-		if err := e.Observe(iv); err != nil {
-			t.Fatal(err)
-		}
+	ivs := make([]Interval, 50)
+	for i := range ivs {
+		ivs[i] = iv
 	}
-	e.MustAssess()
-	for _, name := range []string{
+	recordExposure(t, ivs, timers)
+	names := []string{
 		"core_fit_compute_ns_em", "core_fit_compute_ns_sm",
 		"core_fit_compute_ns_tddb", "core_fit_compute_ns_tc",
-	} {
+	}
+	for _, name := range names {
 		if reg.Counter(name).Value() <= 0 {
 			t.Errorf("%s recorded no time", name)
 		}
 	}
-	e.Reset()
 	before := reg.Counter("core_fit_compute_ns_em").Value()
-	if err := e.Observe(iv); err != nil {
-		t.Fatal(err)
-	}
+	recordExposure(t, ivs[:1], timers)
 	if reg.Counter("core_fit_compute_ns_em").Value() <= before {
-		t.Error("timers detached by Reset")
+		t.Error("a second exposure added no time")
 	}
 }
 

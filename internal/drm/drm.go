@@ -213,21 +213,6 @@ func (s *Sweep) SelectCtx(ctx context.Context, env *exp.Env, qual core.Qualifica
 	}, nil
 }
 
-// Best runs a full sweep and selects for one qualification point.
-func (o *Oracle) Best(app trace.Profile, a Adaptation, qual core.Qualification) (Choice, error) {
-	return o.BestCtx(context.Background(), app, a, qual)
-}
-
-// BestCtx is Best with cancellation across both the sweep and the
-// selection.
-func (o *Oracle) BestCtx(ctx context.Context, app trace.Profile, a Adaptation, qual core.Qualification) (Choice, error) {
-	s, err := o.SweepCtx(ctx, app, a)
-	if err != nil {
-		return Choice{}, err
-	}
-	return s.SelectCtx(ctx, o.Env, qual)
-}
-
 // AdaptationByName parses a paper adaptation-space name ("Arch", "DVS",
 // "ArchDVS"; used by the serve layer's request validation).
 func AdaptationByName(name string) (Adaptation, error) {

@@ -20,11 +20,9 @@ import (
 	"ramp/internal/trace"
 )
 
-// Metric names the DTM oracle registers on an instrumented Env.
-const (
-	MetricSweepPoints = "dtm_sweep_points_total" // operating points queued by sweeps
-	MetricSelects     = "dtm_selects_total"      // thermal-design-point selections
-)
+// MetricSweepPoints names the counter of operating points the DTM
+// oracle's sweeps queue on an instrumented Env.
+const MetricSweepPoints = "dtm_sweep_points_total"
 
 // Choice is the DTM controller's decision.
 type Choice struct {
@@ -118,20 +116,4 @@ func (s *Sweep) Select(tmaxK float64) (Choice, error) {
 		RelPerf:  r.BIPS / s.Base.BIPS,
 		Feasible: feasible,
 	}, nil
-}
-
-// Best runs a sweep and selects for one thermal design point.
-func (o *Oracle) Best(app trace.Profile, tmaxK float64) (Choice, error) {
-	return o.BestCtx(context.Background(), app, tmaxK)
-}
-
-// BestCtx is Best with cancellation (Select itself is a pure in-memory
-// scan; the sweep is the part worth aborting).
-func (o *Oracle) BestCtx(ctx context.Context, app trace.Profile, tmaxK float64) (Choice, error) {
-	s, err := o.SweepCtx(ctx, app)
-	if err != nil {
-		return Choice{}, err
-	}
-	o.Env.Metrics.Counter(MetricSelects).Inc()
-	return s.Select(tmaxK)
 }

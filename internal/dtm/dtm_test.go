@@ -104,8 +104,11 @@ func TestBestEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full adaptation sweep; skipped in -short (race lane)")
 	}
-	o := quickOracle()
-	c, err := o.Best(trace.Art(), 350)
+	s, err := quickOracle().Sweep(trace.Art())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Select(350)
 	if err != nil {
 		t.Fatal(err)
 	}

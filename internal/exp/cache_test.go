@@ -105,39 +105,6 @@ func TestCacheKeyIgnoresCosmeticName(t *testing.T) {
 	sameAggregates(t, "renamed config", r1, r2)
 }
 
-func TestDropEpochRows(t *testing.T) {
-	opts := QuickOptions()
-	opts.DropEpochRows = true
-	env := NewEnv(opts)
-	app := trace.Art()
-	r, err := env.Evaluate(app, env.Base, env.Qualification(400))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Epochs != nil {
-		t.Fatalf("DropEpochRows left %d epoch rows on the result", len(r.Epochs))
-	}
-
-	// Requalify must still work, fed from the exposure, and match a
-	// full-rows environment bitwise.
-	a, err := env.Requalify(r, env.Qualification(345))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := quickEnv()
-	rf, err := full.Evaluate(app, full.Base, full.Qualification(400))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := full.Requalify(rf, full.Qualification(345))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TotalFIT != want.TotalFIT {
-		t.Fatalf("requalified FIT %v != %v from full-rows env", a.TotalFIT, want.TotalFIT)
-	}
-}
-
 func TestRequalifyForeignResultErrors(t *testing.T) {
 	env := quickEnv()
 	r := Result{App: "gzip", Proc: env.Base} // no rows, never evaluated here

@@ -29,7 +29,6 @@ import (
 	"ramp/internal/obs"
 	"ramp/internal/power"
 	"ramp/internal/sim"
-	"ramp/internal/stats"
 	"ramp/internal/thermal"
 	"ramp/internal/trace"
 )
@@ -55,13 +54,6 @@ type Options struct {
 	// configurations. 0 disables the early exit (always run LeakageIters,
 	// bitwise-identical to the fixed-count behaviour).
 	TolK float64
-
-	// DropEpochRows keeps the per-epoch rows out of Results and the
-	// evaluation cache, keeping only aggregates and the RAMP exposure.
-	// Sweeps over hundreds of candidates hold every Result alive; the
-	// rows dominate that memory and most callers only read aggregates.
-	// Requalify needs only the exposure, so it still works.
-	DropEpochRows bool
 }
 
 // DefaultOptions returns run lengths that reach cache steady state for
@@ -207,7 +199,7 @@ type Result struct {
 	// Exposure is the run's qualification-independent RAMP record, from
 	// which Requalify and every cache hit derive the assessment at any
 	// qualification point. Like Epochs it is shared with the evaluation
-	// cache and read-only; unlike Epochs it survives DropEpochRows.
+	// cache and read-only.
 	Exposure *core.Exposure
 }
 
@@ -376,7 +368,6 @@ func (e *Env) evaluate(ctx context.Context, app trace.Profile, proc config.Proc,
 			fs.AnnotateInt("epoch", int64(i))
 			fs.AnnotateInt("iters", int64(iters))
 			fs.End()
-			e.obs.fpIters.Observe(int64(iters))
 			row.TotalW = row.PowerW.Sum()
 			row.MaxTempK = e.Thermal.MaxCoreTemp(temps[:], 0)
 			wSum += row.TotalW * row.Sim.TimeSec
@@ -410,13 +401,14 @@ func (e *Env) evaluate(ctx context.Context, app trace.Profile, proc config.Proc,
 		return Result{}, err
 	}
 	as.End()
-	var ipcMean, dieTempMean stats.Mean
-	var timeSum, retired float64
+	// Time-weighted means: NewExposure rejected every non-positive
+	// duration, so timeSum > 0.
+	var timeSum, retired, ipcSum, dieTempSum float64
 	for i := range epochs {
 		row := &epochs[i]
 		timeSum += row.Sim.TimeSec
 		retired += float64(row.Sim.Retired)
-		ipcMean.AddWeighted(row.Sim.IPC, row.Sim.TimeSec)
+		ipcSum += row.Sim.IPC * row.Sim.TimeSec
 		if row.MaxTempK > res.MaxTempK {
 			res.MaxTempK = row.MaxTempK
 		}
@@ -424,18 +416,16 @@ func (e *Env) evaluate(ctx context.Context, app trace.Profile, proc config.Proc,
 		for s := floorplan.Structure(0); s < floorplan.NumStructures; s++ {
 			at += row.TempK[s] * e.FP.AreaFraction(s)
 		}
-		dieTempMean.AddWeighted(at, row.Sim.TimeSec)
+		dieTempSum += at * row.Sim.TimeSec
 	}
-	res.IPC = ipcMean.Value()
+	res.IPC = ipcSum / timeSum
 	res.BIPS = retired / timeSum / 1e9
 	res.AvgW = avgW
-	res.AvgTempK = dieTempMean.Value()
+	res.AvgTempK = dieTempSum / timeSum
 	res.SinkK = sinkK
 	// The rows filled above are arena scratch; the Result — and through
 	// it the cache — gets one compact copy it owns forever.
-	if !e.Opts.DropEpochRows {
-		res.Epochs = append([]EpochRow(nil), epochs...)
-	}
+	res.Epochs = append([]EpochRow(nil), epochs...)
 	e.obs.evaluations.Inc()
 	e.obs.evalUS.Observe(time.Since(evalStart).Microseconds())
 	return res, nil
@@ -466,11 +456,13 @@ func (e *Env) EpochConditions(activity [floorplan.NumStructures]float64, on powe
 // Options.TolK > 0 the loop exits as soon as the largest block update
 // falls below the tolerance; LeakageIters is always an upper bound, so
 // the adaptive exit can only skip iterations whose effect would be under
-// TolK. It returns the iteration count, which feeds the
-// exp_fixedpoint_iters histogram and span annotations.
+// TolK. It returns the iteration count. On an instrumented Env it also
+// observes that count in the exp_fixedpoint_iters histogram and adds it
+// to thermal_solves_total, one quasi-steady solve per iteration.
 //
 // The single-core evaluation, EpochConditions and the manycore
-// scheduler all run this one loop; the single core is the one-core die.
+// scheduler all run this one loop; the single core is the one-core die,
+// and every solve is counted here, whichever thermal model it used.
 //
 //ramp:hot
 func (e *Env) DieFixedPoint(m *thermal.Model, acts []*power.Vector, on *power.Vector, vdd, f, sinkK float64, temps, prev, pw []float64) int {
@@ -494,6 +486,8 @@ func (e *Env) DieFixedPoint(m *thermal.Model, acts []*power.Vector, on *power.Ve
 			break
 		}
 	}
+	e.obs.fpIters.Observe(int64(iters))
+	e.obs.thermalSolves.Add(int64(iters))
 	return iters
 }
 

@@ -12,14 +12,14 @@ import (
 const (
 	MetricEvaluations    = "exp_evaluations_total"      // uncached pipeline runs
 	MetricEpochs         = "exp_epochs_simulated_total" // simulated measurement epochs
-	MetricFixedpointIter = "exp_fixedpoint_iters"       // leakage fixed-point iterations per epoch-pass
+	MetricFixedpointIter = "exp_fixedpoint_iters"       // leakage fixed-point iterations per DieFixedPoint call
 	MetricEvaluateUS     = "exp_evaluate_us"            // wall time per uncached evaluation
 	MetricCacheHits      = "exp_evalcache_hits_total"   // evaluations served from cache
 	MetricCacheMisses    = "exp_evalcache_misses_total" // evaluations that simulated
 	MetricCacheEntries   = "exp_evalcache_entries"      // distinct cached points
 	MetricSimRetired     = "sim_instructions_retired_total"
 	MetricSimCycles      = "sim_cycles_total"
-	MetricThermalSolves  = "thermal_solves_total" // linear-system solves
+	MetricThermalSolves  = "thermal_solves_total" // quasi-steady solves, one per fixed-point iteration
 )
 
 // expInstruments holds the Env's pre-resolved instrument pointers so
@@ -27,15 +27,16 @@ const (
 // (all nil) is the uninstrumented state: every update is a nil-check
 // no-op.
 type expInstruments struct {
-	evaluations  *obs.Counter
-	epochs       *obs.Counter
-	fpIters      *obs.Histogram
-	evalUS       *obs.Histogram
-	cacheHits    *obs.Counter
-	cacheMisses  *obs.Counter
-	cacheEntries *obs.Gauge
-	simRetired   *obs.Counter
-	simCycles    *obs.Counter
+	evaluations   *obs.Counter
+	epochs        *obs.Counter
+	fpIters       *obs.Histogram
+	evalUS        *obs.Histogram
+	cacheHits     *obs.Counter
+	cacheMisses   *obs.Counter
+	cacheEntries  *obs.Gauge
+	simRetired    *obs.Counter
+	simCycles     *obs.Counter
+	thermalSolves *obs.Counter
 }
 
 // Instrument attaches an observability runtime to the environment:
@@ -53,17 +54,17 @@ func (e *Env) Instrument(tr *obs.Tracer, reg *obs.Registry) *Env {
 	e.Trace = tr
 	e.Metrics = reg
 	e.obs = expInstruments{
-		evaluations:  reg.Counter(MetricEvaluations),
-		epochs:       reg.Counter(MetricEpochs),
-		fpIters:      reg.Histogram(MetricFixedpointIter),
-		evalUS:       reg.Histogram(MetricEvaluateUS),
-		cacheHits:    reg.Counter(MetricCacheHits),
-		cacheMisses:  reg.Counter(MetricCacheMisses),
-		cacheEntries: reg.Gauge(MetricCacheEntries),
-		simRetired:   reg.Counter(MetricSimRetired),
-		simCycles:    reg.Counter(MetricSimCycles),
+		evaluations:   reg.Counter(MetricEvaluations),
+		epochs:        reg.Counter(MetricEpochs),
+		fpIters:       reg.Histogram(MetricFixedpointIter),
+		evalUS:        reg.Histogram(MetricEvaluateUS),
+		cacheHits:     reg.Counter(MetricCacheHits),
+		cacheMisses:   reg.Counter(MetricCacheMisses),
+		cacheEntries:  reg.Gauge(MetricCacheEntries),
+		simRetired:    reg.Counter(MetricSimRetired),
+		simCycles:     reg.Counter(MetricSimCycles),
+		thermalSolves: reg.Counter(MetricThermalSolves),
 	}
 	e.fitTimers = core.NewFITTimers(reg)
-	e.Thermal.CountSolves(reg.Counter(MetricThermalSolves))
 	return e
 }

@@ -82,8 +82,8 @@ func TestInstrumentedEvaluateIdentical(t *testing.T) {
 	if reg.Counter(MetricSimRetired).Value() <= 0 || reg.Counter(MetricSimCycles).Value() <= 0 {
 		t.Error("sim counters empty")
 	}
-	if reg.Counter(MetricThermalSolves).Value() <= 0 {
-		t.Error("thermal solve counter empty")
+	if got, want := reg.Counter(MetricThermalSolves).Value(), reg.Histogram(MetricFixedpointIter).Sum(); got != want {
+		t.Errorf("thermal solves = %d, want the fixed-point iterations %d (one solve each)", got, want)
 	}
 	if reg.Histogram(MetricEvaluateUS).Count() != 1 {
 		t.Error("evaluate latency histogram not recorded")

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"ramp/internal/config"
 	"ramp/internal/core"
@@ -185,24 +184,4 @@ func WriteFigure1(w io.Writer, rows []Figure1Row) {
 		}
 		fmt.Fprintf(w, "  %-8s %8.0f %10.0f %s\n", r.App, r.TqualK, r.FIT, mark)
 	}
-}
-
-// ---- sorting helpers shared by figure drivers ----
-
-// SortRowsByAppOrder orders rows to match the paper's application order.
-func appOrderIndex(name string) int {
-	for i, a := range trace.Apps() {
-		if a.Name == name {
-			return i
-		}
-	}
-	return len(trace.Apps())
-}
-
-// SortByAppOrder sorts any slice keyed by an App method via the given
-// accessor.
-func sortByApp[T any](rows []T, app func(T) string) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		return appOrderIndex(app(rows[i])) < appOrderIndex(app(rows[j]))
-	})
 }

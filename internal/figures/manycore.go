@@ -9,9 +9,6 @@ import (
 	"ramp/internal/sched"
 )
 
-// ManycoreNCores is the standard die-size sweep of the manycore study.
-var ManycoreNCores = []int{1, 2, 4, 8, 16}
-
 // ManycoreRow is one (die size, policy) outcome at iso-performance.
 type ManycoreRow struct {
 	NCores int

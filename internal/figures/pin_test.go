@@ -67,7 +67,7 @@ func digest(v any) uint64 {
 // network.
 func TestScalingStudyDigest(t *testing.T) {
 	const want = uint64(0x2ab836ec649baaf2)
-	rows, err := ScalingStudy(exp.QuickOptions())
+	rows, err := ScalingStudy(exp.QuickOptions(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,17 +50,11 @@ func ScalingApps() []trace.Profile {
 // with each node's own nominal V/f) and the package/cooling stack are
 // held constant across generations, so the FIT trend isolates the
 // technology effects: rising power density and leakage, non-scaling
-// voltage.
-func ScalingStudy(opts exp.Options) ([]ScalingRow, error) {
-	return ScalingStudyObs(opts, nil, nil)
-}
-
-// ScalingStudyObs is ScalingStudy with observability: the study builds
-// one environment per technology node internally, so callers cannot
-// pre-instrument an Env — instead the tracer and registry passed here
-// are attached to every per-node environment (nil disables either
-// pillar, making this identical to ScalingStudy).
-func ScalingStudyObs(opts exp.Options, tr *obs.Tracer, reg *obs.Registry) ([]ScalingRow, error) {
+// voltage. The study builds one environment per technology node
+// internally, so callers cannot pre-instrument an Env; instead the
+// tracer and registry passed here are attached to every per-node
+// environment (nil disables either).
+func ScalingStudy(opts exp.Options, tr *obs.Tracer, reg *obs.Registry) ([]ScalingRow, error) {
 	base65 := config.Base()
 	budget65 := power.DefaultMaxDynamic()
 	ctx := context.Background()

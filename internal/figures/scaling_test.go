@@ -11,7 +11,7 @@ func TestScalingStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full adaptation sweep; skipped in -short (race lane)")
 	}
-	rows, err := ScalingStudy(exp.QuickOptions())
+	rows, err := ScalingStudy(exp.QuickOptions(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func TestWeibullMomentsSingleCell(t *testing.T) {
 			medianY := eta * math.Pow(math.Ln2, 1/beta) / HoursPerYear
 
 			cfg := DefaultConfig(n, 7)
-			cfg.Variation = NoVariation()
+			cfg.Variation = VariationParams{} // every chip is the nominal chip
 			cfg.HorizonYears = 120
 			cfg.Bins = 2400 // 0.05-year resolution for the quantile check
 			rep := runFleet(t, cfg, singleCell(floorplan.IntALU, m, fit))
@@ -120,7 +120,7 @@ func TestSurvivalMatchesReliability(t *testing.T) {
 	}
 
 	cfg := DefaultConfig(n, 11)
-	cfg.Variation = NoVariation()
+	cfg.Variation = VariationParams{} // every chip is the nominal chip
 	cfg.HorizonYears = 60
 	cfg.Bins = 600
 	rep := runFleet(t, cfg, a)
@@ -151,7 +151,7 @@ func TestMeanOneVariationPreservesRate(t *testing.T) {
 	a := multiCell()
 
 	cfg := DefaultConfig(n, 3)
-	cfg.Variation = NoVariation()
+	cfg.Variation = VariationParams{} // every chip is the nominal chip
 	plain := runFleet(t, cfg, a).Results[0]
 
 	cfg.Variation = DefaultVariation()

@@ -52,12 +52,6 @@ func DefaultVariation() VariationParams {
 	return VariationParams{StructSigma: 0.08, LeakSigma: 0.12, LeakGamma: g}
 }
 
-// NoVariation returns parameters under which every chip is the nominal
-// chip (all multipliers exactly 1) — the configuration the statistical
-// test suite uses to compare samples against the closed-form
-// LifetimeModel.Reliability curve.
-func NoVariation() VariationParams { return VariationParams{} }
-
 // Validate bounds the parameters to physically plausible spreads.
 func (p VariationParams) Validate() error {
 	if !(p.StructSigma >= 0 && p.StructSigma <= 1) {

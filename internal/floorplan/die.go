@@ -164,54 +164,3 @@ func abs(x int) int {
 	}
 	return x
 }
-
-// Validate checks the tiled die geometrically: every block lies within
-// the die envelope, no two blocks overlap (including across tile
-// seams), block areas sum to exactly n times the base floorplan's, and
-// the adjacency relation is symmetric and irredundant.
-func (d *Die) Validate() error {
-	nb := d.NumBlocks()
-	var sum float64
-	for i := 0; i < nb; i++ {
-		ci, si := d.CoreOf(i)
-		r := d.BlockRect(ci, si)
-		if r.X0 < -adjacencyEps || r.Y0 < -adjacencyEps ||
-			r.X1 > d.WidthMM+adjacencyEps || r.Y1 > d.HeightMM+adjacencyEps {
-			return fmt.Errorf("floorplan: die core %d %v outside envelope: %+v", ci, si, r)
-		}
-		sum += r.AreaMM2()
-		for j := 0; j < i; j++ {
-			cj, sj := d.CoreOf(j)
-			o := d.BlockRect(cj, sj)
-			if r.X0 < o.X1-adjacencyEps && o.X0 < r.X1-adjacencyEps &&
-				r.Y0 < o.Y1-adjacencyEps && o.Y0 < r.Y1-adjacencyEps {
-				return fmt.Errorf("floorplan: die core %d %v overlaps core %d %v", ci, si, cj, sj)
-			}
-		}
-	}
-	die := d.WidthMM * d.HeightMM
-	if diff := sum - die; diff > 1e-6 || diff < -1e-6 {
-		return fmt.Errorf("floorplan: die block areas sum to %.6f mm^2, envelope is %.6f mm^2", sum, die)
-	}
-	// Adjacency symmetry: each unordered pair must appear exactly once,
-	// and the relation A~B implies B~A by construction of that single
-	// record; a duplicate (in either order) breaks the conductance
-	// assembly, which adds each pair once.
-	seen := make(map[[2]int]bool, len(d.adjacencies))
-	for _, adj := range d.adjacencies {
-		a := d.Index(adj.CoreA, adj.A)
-		b := d.Index(adj.CoreB, adj.B)
-		if a == b {
-			return fmt.Errorf("floorplan: die self-adjacency at block %d", a)
-		}
-		lo, hi := a, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if seen[[2]int{lo, hi}] {
-			return fmt.Errorf("floorplan: duplicate die adjacency %d~%d", lo, hi)
-		}
-		seen[[2]int{lo, hi}] = true
-	}
-	return nil
-}

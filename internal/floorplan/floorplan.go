@@ -56,15 +56,6 @@ func (s Structure) String() string {
 	return structureNames[s]
 }
 
-// Structures returns all structures in index order.
-func Structures() []Structure {
-	out := make([]Structure, NumStructures)
-	for i := range out {
-		out[i] = Structure(i)
-	}
-	return out
-}
-
 // Rect is an axis-aligned rectangle on the die, in millimetres.
 // (X0,Y0) is the lower-left corner, (X1,Y1) the upper-right corner.
 type Rect struct {

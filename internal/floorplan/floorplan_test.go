@@ -20,7 +20,7 @@ func TestAreasMatchPaper(t *testing.T) {
 		t.Fatalf("total area = %v, want 20.25", got)
 	}
 	var fracSum float64
-	for _, s := range Structures() {
+	for s := Structure(0); s < NumStructures; s++ {
 		a := fp.AreaMM2(s)
 		if a <= 0 {
 			t.Errorf("%v has non-positive area", s)
@@ -41,15 +41,19 @@ func TestStructureString(t *testing.T) {
 	}
 }
 
+// TestStructuresList checks the structure enumeration: every index in
+// [0, NumStructures) has its own name.
 func TestStructuresList(t *testing.T) {
-	ss := Structures()
-	if len(ss) != int(NumStructures) {
-		t.Fatalf("Structures() len = %d, want %d", len(ss), NumStructures)
-	}
-	for i, s := range ss {
-		if int(s) != i {
-			t.Fatalf("Structures()[%d] = %v", i, s)
+	seen := map[string]Structure{}
+	for s := Structure(0); s < NumStructures; s++ {
+		name := s.String()
+		if strings.HasPrefix(name, "Structure(") {
+			t.Fatalf("structure %d has no name", int(s))
 		}
+		if prev, dup := seen[name]; dup {
+			t.Fatalf("structures %d and %d are both named %q", int(prev), int(s), name)
+		}
+		seen[name] = s
 	}
 }
 
@@ -89,7 +93,7 @@ func TestEveryBlockHasNeighbour(t *testing.T) {
 		deg[a.A]++
 		deg[a.B]++
 	}
-	for _, s := range Structures() {
+	for s := Structure(0); s < NumStructures; s++ {
 		if deg[s] == 0 {
 			t.Errorf("%v has no neighbours — lateral heat path missing", s)
 		}

@@ -31,26 +31,6 @@ type baselineKey struct {
 	message  string
 }
 
-// NewBaseline builds a baseline from diagnostics (used by
-// -write-baseline and tests). root is the module root for
-// relativizing file paths.
-func NewBaseline(root string, diags []Diagnostic) *Baseline {
-	b := &Baseline{counts: map[baselineKey]int{}}
-	for _, d := range diags {
-		b.counts[diagKey(root, d)]++
-	}
-	return b
-}
-
-// Len reports the number of grandfathered findings (multiset size).
-func (b *Baseline) Len() int {
-	n := 0
-	for _, c := range b.counts {
-		n += c
-	}
-	return n
-}
-
 // diagKey relativizes and normalizes one diagnostic.
 func diagKey(root string, d Diagnostic) baselineKey {
 	file := d.Pos.Filename

@@ -25,7 +25,9 @@
 //     goroleak.go): map iteration order leaking into output or
 //     floating-point accumulation, severed context cancellation chains,
 //     allocation sources on //ramp:hot paths, and unjoinable
-//     goroutines.
+//     goroutines. One whole-module check (unreached.go): functions
+//     under internal/ that no command, example, perfbench or facade
+//     function reaches.
 //
 // cmd/rampvet is the command-line driver; analyzer golden tests live in
 // lint_test.go against fixtures under testdata/src.
@@ -63,7 +65,8 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	diags *[]Diagnostic
+	loader *Loader // the run's loader, for whole-module analyzers
+	diags  *[]Diagnostic
 }
 
 // Reportf records a diagnostic at pos.
@@ -88,8 +91,9 @@ type Analyzer struct {
 }
 
 // All returns the full analyzer suite in stable order. The first six
-// are per-statement pattern checks; the last four are flow-aware,
-// built on the internal/lint/flow CFG and call-graph engine.
+// are per-statement pattern checks; the next four are flow-aware,
+// built on the internal/lint/flow CFG and call-graph engine; the last,
+// unreached, walks the whole module's uses from its artifacts.
 func All() []*Analyzer {
 	return []*Analyzer{
 		FloatCmp,
@@ -102,6 +106,7 @@ func All() []*Analyzer {
 		CtxFlow,
 		HotAlloc,
 		GoroLeak,
+		Unreached,
 	}
 }
 
@@ -134,6 +139,7 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
+			loader:   pkg.loader,
 			diags:    &diags,
 		}
 		if err := a.Run(pass); err != nil {

@@ -54,8 +54,15 @@ func parseExpectations(t *testing.T, path string) []*expectation {
 // diagnostics against the fixture's want comments.
 func runFixture(t *testing.T, a *Analyzer) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", a.Name)
-	loader, err := NewLoader(".")
+	runFixtureDir(t, a, filepath.Join("testdata", "src", a.Name))
+}
+
+// runFixtureDir is runFixture for the package in dir, loaded in the
+// module that encloses dir: this one, or a fixture module with its own
+// go.mod.
+func runFixtureDir(t *testing.T, a *Analyzer, dir string) {
+	t.Helper()
+	loader, err := NewLoader(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +131,12 @@ func TestCtxFlow(t *testing.T)    { runFixture(t, CtxFlow) }
 func TestHotAlloc(t *testing.T)   { runFixture(t, HotAlloc) }
 func TestGoroLeak(t *testing.T)   { runFixture(t, GoroLeak) }
 
+// TestUnreached runs the analyzer over the library of a fixture module
+// whose cmd/tool and facade are the roots.
+func TestUnreached(t *testing.T) {
+	runFixtureDir(t, Unreached, filepath.Join("testdata", "src", "unreached", "internal", "lib"))
+}
+
 // TestByName covers analyzer lookup.
 func TestByName(t *testing.T) {
 	as, err := ByName([]string{"floatcmp", "errdrop"})
@@ -147,7 +160,7 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := Run(loader.ModuleRoot, []string{"./..."}, All())
+	diags, err := RunConfigured(Config{}, loader.ModuleRoot, []string{"./..."}, All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +293,7 @@ func TestLoaderBuildTags(t *testing.T) {
 		t.Skip("type-checks internal/check + stdlib in -short mode")
 	}
 	load := func(tags ...string) string {
-		l, err := NewLoaderWithTags(".", tags...)
+		l, err := NewLoader(".", tags...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,10 +341,6 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bl.Len() != 3 {
-		t.Fatalf("baseline Len = %d, want 3", bl.Len())
-	}
-
 	now := []Diagnostic{
 		mk(99, "detmap", "map iteration order reaches output"), // moved: still grandfathered
 		mk(20, "hotalloc", "make allocates"),

@@ -24,6 +24,8 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	loader *Loader
 }
 
 // Loader resolves and type-checks packages of the enclosing module
@@ -46,20 +48,17 @@ type Loader struct {
 	std  types.Importer
 	pkgs map[string]*Package
 	tags map[string]bool
+
+	reach reachability // the unreached analyzer's module-wide memo
 }
 
 // NewLoader builds a loader for the module containing dir (found by
-// walking up to go.mod).
-func NewLoader(dir string) (*Loader, error) {
-	return NewLoaderWithTags(dir)
-}
-
-// NewLoaderWithTags is NewLoader with extra build tags enabled on top
-// of the default GOOS/GOARCH/gc set — e.g. "rampdebug" to analyze the
+// walking up to go.mod), with extra build tags enabled on top of the
+// default GOOS/GOARCH/gc set — e.g. "rampdebug" to analyze the
 // runtime-invariant implementation files the default build excludes.
 // Analyzers always see exactly the tree the compiler would build under
 // the same tags.
-func NewLoaderWithTags(dir string, extraTags ...string) (*Loader, error) {
+func NewLoader(dir string, extraTags ...string) (*Loader, error) {
 	root, modPath, err := findModule(dir)
 	if err != nil {
 		return nil, err
@@ -196,12 +195,13 @@ func (l *Loader) check(dir, path string) (*Package, error) {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
 	return &Package{
-		Path:  path,
-		Dir:   dir,
-		Fset:  l.fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
+		Path:   path,
+		Dir:    dir,
+		Fset:   l.fset,
+		Files:  files,
+		Types:  tpkg,
+		Info:   info,
+		loader: l,
 	}, nil
 }
 
@@ -318,19 +318,14 @@ type Config struct {
 	Workers int
 }
 
-// Run loads every package matched by patterns (relative to dir) and
-// applies the analyzers with default configuration, returning all
-// diagnostics sorted by position.
-func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunConfigured(Config{}, dir, patterns, analyzers)
-}
-
-// RunConfigured is Run with explicit tags and parallelism. Packages
-// are analyzed concurrently and the per-package results merged in a
-// deterministic order (the final sort is by position, so the output is
-// identical regardless of worker count or completion order).
+// RunConfigured loads every package matched by patterns (relative to
+// dir) and applies the analyzers, returning all diagnostics sorted by
+// position. Packages are analyzed concurrently and the per-package
+// results merged in a deterministic order (the final sort is by
+// position, so the output is identical regardless of worker count or
+// completion order).
 func RunConfigured(cfg Config, dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	l, err := NewLoaderWithTags(dir, cfg.Tags...)
+	l, err := NewLoader(dir, cfg.Tags...)
 	if err != nil {
 		return nil, err
 	}

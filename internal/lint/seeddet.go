@@ -7,9 +7,8 @@ import (
 
 // SeedDet flags non-deterministic RNG construction outside tests.
 //
-// RAMP's Monte Carlo lifetime estimates
-// (core.LifetimeModel.MonteCarloMTTFHours), trace generation and sensor
-// noise models are all specified to be reproducible: the same seed must
+// RAMP's fleet Monte Carlo, trace generation and sensor noise models
+// are all specified to be reproducible: the same seed must
 // produce the same lifetime distribution, or results cannot be compared
 // across runs, machines or CI. Two patterns break that contract:
 //

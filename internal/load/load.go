@@ -190,10 +190,6 @@ func New(cfg Config) (*Runner, error) {
 	}, nil
 }
 
-// Registry exposes the harness's client-side instruments (tests and the
-// -stats flag read it).
-func (r *Runner) Registry() *obs.Registry { return r.reg }
-
 // do issues one request and classifies the outcome. The latency
 // histograms record every request that produced an HTTP response;
 // transport failures only count. The sent counters are bumped at

@@ -48,16 +48,3 @@ func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 // Discard returns a logger that drops everything — the default for
 // library code (e.g. serve.Config.Log) when the caller wires nothing.
 func Discard() *slog.Logger { return slog.New(discardHandler{}) }
-
-type requestIDKey struct{}
-
-// WithRequestID stores a request ID in ctx for spans and access logs.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey{}, id)
-}
-
-// RequestID returns the request ID stored in ctx, or "".
-func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
-}

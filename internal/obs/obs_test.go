@@ -121,14 +121,3 @@ func TestDiscardLogger(t *testing.T) {
 		t.Error("discard logger claims to be enabled")
 	}
 }
-
-func TestRequestIDContext(t *testing.T) {
-	ctx := context.Background()
-	if got := RequestID(ctx); got != "" {
-		t.Errorf("empty context request ID = %q", got)
-	}
-	ctx = WithRequestID(ctx, "req-42")
-	if got := RequestID(ctx); got != "req-42" {
-		t.Errorf("request ID = %q, want req-42", got)
-	}
-}

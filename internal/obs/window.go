@@ -254,16 +254,6 @@ type WindowDelta struct {
 // Seconds returns the window length.
 func (d WindowDelta) Seconds() float64 { return d.End.Sub(d.Start).Seconds() }
 
-// Rate returns the named counter's per-second rate over this window (0
-// for a zero-length window).
-func (d WindowDelta) Rate(counter string) float64 {
-	sec := d.Seconds()
-	if sec <= 0 {
-		return 0
-	}
-	return float64(d.Delta.Counters[counter]) / sec
-}
-
 // Window retains a bounded ring of timestamped Snapshot deltas. One
 // goroutine Advances it on a cadence (a ticker, or an injected clock in
 // tests); any goroutine may read the retained deltas. The zero Window
@@ -332,13 +322,6 @@ func (w *Window) Advance(s Snapshot) WindowDelta {
 // Observe snapshots the registry and Advances the window.
 func (w *Window) Observe(r *Registry) WindowDelta { return w.Advance(r.Snapshot()) }
 
-// Len returns the number of retained deltas.
-func (w *Window) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.n
-}
-
 // Deltas returns the retained deltas, oldest first (a copy; safe to
 // hold across further Advances).
 func (w *Window) Deltas() []WindowDelta {
@@ -349,22 +332,4 @@ func (w *Window) Deltas() []WindowDelta {
 		out[i] = w.ring[(w.head+i)%len(w.ring)]
 	}
 	return out
-}
-
-// Rate returns the named counter's per-second rate across every
-// retained window (total delta over total retained time).
-func (w *Window) Rate(counter string) float64 {
-	all := w.Deltas()
-	if len(all) == 0 {
-		return 0
-	}
-	var total int64
-	for _, d := range all {
-		total += d.Delta.Counters[counter]
-	}
-	sec := all[len(all)-1].End.Sub(all[0].Start).Seconds()
-	if sec <= 0 {
-		return 0
-	}
-	return float64(total) / sec
 }

@@ -176,8 +176,8 @@ func TestWindowRingAndRates(t *testing.T) {
 	if d1.Seq != 1 || d1.Delta.Counters["reqs"] != 10 {
 		t.Fatalf("first delta = %+v", d1)
 	}
-	if r := d1.Rate("reqs"); math.Abs(r-10) > 1e-9 {
-		t.Errorf("window rate = %g, want 10/s", r)
+	if sec := d1.Seconds(); sec != 1 {
+		t.Errorf("window length = %gs, want 1s", sec)
 	}
 
 	reg.Counter("reqs").Add(20)
@@ -193,12 +193,8 @@ func TestWindowRingAndRates(t *testing.T) {
 	if len(all) != 2 || all[0].Seq != 2 || all[1].Seq != 3 {
 		t.Fatalf("ring = %+v, want seqs [2 3]", all)
 	}
-	if got := w.Len(); got != 2 {
-		t.Errorf("Len = %d, want 2", got)
-	}
-	// Retained rate: (20+30) events over 2 seconds.
-	if r := w.Rate("reqs"); math.Abs(r-25) > 1e-9 {
-		t.Errorf("retained rate = %g, want 25/s", r)
+	if sec := all[1].End.Sub(all[0].Start).Seconds(); sec != 2 {
+		t.Errorf("retained span = %gs, want 2s", sec)
 	}
 }
 

@@ -142,15 +142,6 @@ func Ones() Vector {
 	return v
 }
 
-// Uniform returns a Vector with every entry x.
-func Uniform(x float64) Vector {
-	var v Vector
-	for i := range v {
-		v[i] = x
-	}
-	return v
-}
-
 // OnFractions converts config-level powered-on fractions to a
 // per-structure Vector. Structures the adaptations cannot gate stay at 1.
 func OnFractions(p, base config.Proc) Vector {

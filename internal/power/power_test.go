@@ -65,7 +65,7 @@ func TestLeakageReference(t *testing.T) {
 	// At the reference temperature (383 K) and nominal voltage the total
 	// leakage is 0.5 W/mm^2 over the whole die (Section 6.3).
 	var sum float64
-	for _, s := range floorplan.Structures() {
+	for s := floorplan.Structure(0); s < floorplan.NumStructures; s++ {
 		sum += m.Leakage(s, 383, 1.0, 1)
 	}
 	want := 0.5 * fp.TotalAreaMM2()
@@ -86,12 +86,12 @@ func TestLeakageTemperatureExponential(t *testing.T) {
 
 func TestComputeSumsDynamicAndLeakage(t *testing.T) {
 	m := model()
-	act := Uniform(0.3)
-	temps := Uniform(360)
+	act := uniform(0.3)
+	temps := uniform(360)
 	on := Ones()
 	var total Vector
 	m.ComputeInto(total[:], act, on, temps[:], 1.0, 4e9)
-	for _, s := range floorplan.Structures() {
+	for s := floorplan.Structure(0); s < floorplan.NumStructures; s++ {
 		want := m.Dynamic(s, 0.3, 1.0, 4e9, 1) + m.Leakage(s, 360, 1.0, 1)
 		if total[s] != want {
 			t.Fatalf("ComputeInto[%v] = %v, want %v", s, total[s], want)
@@ -100,7 +100,7 @@ func TestComputeSumsDynamicAndLeakage(t *testing.T) {
 }
 
 func TestVectorSum(t *testing.T) {
-	v := Uniform(2)
+	v := uniform(2)
 	if v.Sum() != 2*float64(floorplan.NumStructures) {
 		t.Fatalf("sum = %v", v.Sum())
 	}
@@ -185,4 +185,13 @@ func TestComputeIntoTileAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("ComputeInto allocates %.1f times per call, want 0", allocs)
 	}
+}
+
+// uniform returns a Vector with every entry x.
+func uniform(x float64) Vector {
+	var v Vector
+	for i := range v {
+		v[i] = x
+	}
+	return v
 }

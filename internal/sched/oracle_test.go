@@ -330,6 +330,29 @@ func TestStaticSolvesTwicePerRow(t *testing.T) {
 	}
 }
 
+// TestSchedulerSolvesCounted checks that the pipeline instruments count
+// the scheduler's fixed points: a 4-core, 400-epoch wear-leveling run
+// observes one exp_fixedpoint_iters sample per solved epoch and adds one
+// thermal solve per fixed-point iteration.
+func TestSchedulerSolvesCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	env := exp.NewEnv(exp.QuickOptions()).Instrument(nil, reg)
+	s := newSim(t, env, 4, 400, 400)
+	iters, solves := reg.Histogram(exp.MetricFixedpointIter), reg.Counter(exp.MetricThermalSolves)
+	epochSolves := reg.Counter("sched_epoch_solves")
+	c0, s0, t0, e0 := iters.Count(), iters.Sum(), solves.Value(), epochSolves.Value()
+	if _, err := s.Run(WearLevel); err != nil {
+		t.Fatal(err)
+	}
+	dc, ds, dt, de := iters.Count()-c0, iters.Sum()-s0, solves.Value()-t0, epochSolves.Value()-e0
+	if de <= 0 || dc != de {
+		t.Errorf("fixed-point samples = %d, want the %d solved epochs", dc, de)
+	}
+	if dt != ds {
+		t.Errorf("thermal solves = %d, want the %d fixed-point iterations", dt, ds)
+	}
+}
+
 // TestRunAllocsFlatInEpochs checks that the epoch loop allocates
 // nothing: a static run's allocations do not grow with its length.
 func TestRunAllocsFlatInEpochs(t *testing.T) {

@@ -167,11 +167,6 @@ func NewCtx(ctx context.Context, env *exp.Env, cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range suite {
-		if len(suite[i].Epochs) == 0 {
-			return nil, fmt.Errorf("sched: %s evaluation has no epoch rows (Options.DropEpochRows?)", suite[i].App)
-		}
-	}
 	model, err := thermal.New(die, thermal.DieParams(env.Tech.AmbientK, cfg.NCores))
 	if err != nil {
 		return nil, err

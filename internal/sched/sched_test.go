@@ -230,3 +230,37 @@ func TestDieSOFRInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestAssignBreaksRankTiesByCore pins assign's tie rule on a tied rank
+// pattern: groups land on cores in (rank, core index) order. Only ties
+// between more than 12 cores can tell a stable sort from an unstable
+// one: Go sorts 12 or fewer elements by insertion sort, which is
+// stable, and at the first epoch of a pass every rank is 0, where both
+// sorts keep the input order.
+func TestAssignBreaksRankTiesByCore(t *testing.T) {
+	const n = 16
+	s := newSim(t, sharedEnv(), n, 1, 400)
+	st := newRunState(s)
+	st.reset()
+	for c := range st.prevMax {
+		st.prevMax[c] = 350 + float64(1-c%2) // ranks 1, 0, 1, 0, ...
+	}
+	s.assign(Coolest, 0, st, nil)
+	var want []int // odd cores (rank 0), then even cores (rank 1)
+	for c := 1; c < n; c += 2 {
+		want = append(want, c)
+	}
+	for c := 0; c < n; c += 2 {
+		want = append(want, c)
+	}
+	for i, grp := range s.hotFirst[0] {
+		if got := st.next[grp]; got != want[i] {
+			t.Fatalf("group %d (%d-th hottest) on core %d, want core %d: ties must break by core index", grp, i, got, want[i])
+		}
+	}
+	for i, c := range st.cores {
+		if c != want[i] {
+			t.Fatalf("rank order %v, want %v", st.cores, want)
+		}
+	}
+}

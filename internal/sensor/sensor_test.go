@@ -17,7 +17,21 @@ func engine(t *testing.T) *core.Engine {
 		TqualK: 400, VqualV: 1, FqualHz: 4e9, Aqual: 0.5,
 		TargetFIT: core.StandardTargetFIT,
 	}
-	return core.MustNewEngine(floorplan.R10000Like(), core.DefaultParams(core.TCAmbientK), q)
+	e, err := core.NewEngine(floorplan.R10000Like(), core.DefaultParams(core.TCAmbientK), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// totalFIT is the engine's assessed total FIT.
+func totalFIT(t *testing.T, e *core.Engine) float64 {
+	t.Helper()
+	a, err := e.Assess()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.TotalFIT
 }
 
 func interval(tempK, activity float64) core.Interval {
@@ -56,7 +70,7 @@ func TestPerfectSensorIsTransparent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trueK := power.Uniform(365.25)
+	trueK := uniform(365.25)
 	got := a.Read(trueK)
 	for s := range got {
 		if got[s] != trueK[s] {
@@ -71,7 +85,7 @@ func TestQuantisation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := a.Read(power.Uniform(365.7))
+	got := a.Read(uniform(365.7))
 	for s := range got {
 		if got[s] != 366 {
 			t.Fatalf("quantised reading %v, want 366", got[s])
@@ -85,8 +99,8 @@ func TestBiasIsFixedPerSensor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := a.Read(power.Uniform(360))
-	r2 := a.Read(power.Uniform(360))
+	r1 := a.Read(uniform(360))
+	r2 := a.Read(uniform(360))
 	for s := range r1 {
 		if r1[s] != r2[s] {
 			t.Fatalf("bias-only sensor not repeatable: %v vs %v", r1[s], r2[s])
@@ -97,7 +111,7 @@ func TestBiasIsFixedPerSensor(t *testing.T) {
 	}
 	// Different dies (seeds) get different calibration errors.
 	b, _ := NewTempArray(spec, 43)
-	rb := b.Read(power.Uniform(360))
+	rb := b.Read(uniform(360))
 	same := true
 	for s := range r1 {
 		if r1[s] != rb[s] {
@@ -115,8 +129,8 @@ func TestFilterLag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Read(power.Uniform(350)) // initialise at 350
-	got := a.Read(power.Uniform(370))
+	a.Read(uniform(350)) // initialise at 350
+	got := a.Read(uniform(370))
 	for s := range got {
 		if math.Abs(got[s]-360) > 1e-9 { // halfway to the step
 			t.Fatalf("lagged reading %v, want 360", got[s])
@@ -149,7 +163,7 @@ func TestHarnessSensedFITTracksIdeal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	idealFIT := ideal.MustAssess().TotalFIT
+	idealFIT := totalFIT(t, ideal)
 
 	temps, err := NewTempArray(DefaultTempSensors(), 5)
 	if err != nil {
@@ -165,7 +179,7 @@ func TestHarnessSensedFITTracksIdeal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sensedFIT := sensedEngine.MustAssess().TotalFIT
+	sensedFIT := totalFIT(t, sensedEngine)
 	relErr := math.Abs(sensedFIT-idealFIT) / idealFIT
 	if relErr > 0.25 {
 		t.Fatalf("sensed FIT %v vs ideal %v (%.1f%% error)", sensedFIT, idealFIT, relErr*100)
@@ -198,8 +212,8 @@ func TestHarnessCoarserSensorsHurt(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			e := math.Abs(sensed.MustAssess().TotalFIT-ideal.MustAssess().TotalFIT) /
-				ideal.MustAssess().TotalFIT
+			e := math.Abs(totalFIT(t, sensed)-totalFIT(t, ideal)) /
+				totalFIT(t, ideal)
 			if e > worst {
 				worst = e
 			}
@@ -237,7 +251,7 @@ func TestSensorErrorBoundQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := a.Read(power.Uniform(trueT))
+		got := a.Read(uniform(trueT))
 		bound := spec.BiasK + 5*spec.NoiseStdK + spec.QuantK
 		for s := range got {
 			if math.Abs(got[s]-trueT) > bound {
@@ -249,4 +263,13 @@ func TestSensorErrorBoundQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// uniform returns a power.Vector with every entry x.
+func uniform(x float64) power.Vector {
+	var v power.Vector
+	for i := range v {
+		v[i] = x
+	}
+	return v
 }

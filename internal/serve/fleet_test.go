@@ -57,12 +57,12 @@ func TestFleetEndpoint(t *testing.T) {
 func TestFleetResponseCache(t *testing.T) {
 	s, hs := newTestServer(t)
 	_, first := post(t, hs.URL+"/v1/fleet", fleetBody)
-	misses := s.Env().CacheStats().Misses
+	misses := s.env.CacheStats().Misses
 	_, second := post(t, hs.URL+"/v1/fleet", fleetBody)
 	if first != second {
 		t.Error("identical fleet requests returned different bodies")
 	}
-	if st := s.Env().CacheStats(); st.Misses != misses {
+	if st := s.env.CacheStats(); st.Misses != misses {
 		t.Errorf("cached fleet repeat re-simulated (misses %d -> %d)", misses, st.Misses)
 	}
 	// A different spelling of the same simulation hits the same key.

@@ -103,8 +103,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 		// writeJobError's 429/504/499 sheds — carries it.
 		w.Header().Set(requestIDHeader, id)
 
-		ctx := obs.WithRequestID(r.Context(), id)
-		ctx, span := s.env.Trace.StartTrack(ctx, "serve.request")
+		ctx, span := s.env.Trace.StartTrack(r.Context(), "serve.request")
 		if span.Enabled() {
 			span.Annotate(
 				obs.Str("method", r.Method),

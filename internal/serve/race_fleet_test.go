@@ -21,7 +21,7 @@ func TestConcurrentFleetIdenticalBodies(t *testing.T) {
 	requireIdentical(t, got, hammerGoroutines)
 	// All 32 fleet runs share one (app, proc) evaluation: the exp
 	// cache's singleflight collapses them onto a single simulation.
-	if st := s.Env().CacheStats(); st.Misses != 1 {
+	if st := s.env.CacheStats(); st.Misses != 1 {
 		t.Errorf("32 identical fleet requests ran %d simulations (want exactly 1)", st.Misses)
 	}
 }

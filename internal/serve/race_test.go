@@ -80,7 +80,7 @@ func TestConcurrentEvaluateSingleflight(t *testing.T) {
 	body := `{"app":"twolf","freq_hz":4.5e9,"tqual_k":370}`
 	got := hammer(t, hs.URL+"/v1/evaluate", []string{body})
 	requireIdentical(t, got, hammerGoroutines)
-	st := s.Env().CacheStats()
+	st := s.env.CacheStats()
 	if st.Misses != 1 {
 		t.Errorf("32 identical requests ran %d simulations (want exactly 1)", st.Misses)
 	}
@@ -99,7 +99,7 @@ func TestConcurrentEvaluateDistinctKeys(t *testing.T) {
 	}
 	got := hammer(t, hs.URL+"/v1/evaluate", bodies)
 	requireIdentical(t, got, hammerGoroutines)
-	if st := s.Env().CacheStats(); st.Misses != int64(len(bodies)) {
+	if st := s.env.CacheStats(); st.Misses != int64(len(bodies)) {
 		t.Errorf("%d distinct configs ran %d simulations (want exactly %d)",
 			len(bodies), st.Misses, len(bodies))
 	}
@@ -113,7 +113,7 @@ func TestConcurrentSweepSingleflight(t *testing.T) {
 	// A sweep evaluates the base machine plus the 18 Arch candidates, but
 	// the base IS one of those candidates (same cache key), so exactly 18
 	// distinct simulations run across all 32 concurrent sweeps.
-	if st := s.Env().CacheStats(); st.Misses != 18 {
+	if st := s.env.CacheStats(); st.Misses != 18 {
 		t.Errorf("32 identical sweeps ran %d simulations (want exactly 18)", st.Misses)
 	}
 }

@@ -143,11 +143,9 @@ func New(env *exp.Env, cfg Config) *Server {
 // Handler returns the routing handler wrapped in the request middleware
 // — request-ID plumbing, per-request spans and access logs (for
 // httptest and embedding).
+//
+//rampvet:ignore unreached -- the httptest mount of the serve, load and obs-coverage tests and of BenchmarkServeEvaluateHandler
 func (s *Server) Handler() http.Handler { return s.handler }
-
-// Env returns the server's evaluation environment (tests assert on its
-// cache statistics).
-func (s *Server) Env() *exp.Env { return s.env }
 
 // Addr blocks until Serve has bound its listener and returns the bound
 // address (useful with port 0).

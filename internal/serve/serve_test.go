@@ -115,7 +115,7 @@ func TestEvaluateNormalizationSharesCacheKey(t *testing.T) {
 			t.Errorf("req %d: body differs from first:\n%s\nvs\n%s", i, body, first)
 		}
 	}
-	if st := s.Env().CacheStats(); st.Misses != 1 {
+	if st := s.env.CacheStats(); st.Misses != 1 {
 		t.Errorf("three spellings of one config simulated %d times (want 1)", st.Misses)
 	}
 }
@@ -191,7 +191,7 @@ func TestSweepEndpoint(t *testing.T) {
 		t.Errorf("rel_perf rose as T_qual fell: %+v", resp.Choices)
 	}
 	// The sweep evaluated base + ladder once each, nothing more.
-	if st := s.Env().CacheStats(); int(st.Misses) != resp.Candidates+1 {
+	if st := s.env.CacheStats(); int(st.Misses) != resp.Candidates+1 {
 		t.Errorf("sweep simulated %d configs (want %d candidates + base)", st.Misses, resp.Candidates)
 	}
 }

@@ -102,12 +102,3 @@ func (b *BPred) Lookups() uint64 { return b.lookups }
 
 // Mispredicts returns the number of wrong predictions.
 func (b *BPred) Mispredicts() uint64 { return b.mispredicts }
-
-// Accuracy returns the fraction of correct predictions (1.0 if no
-// lookups yet).
-func (b *BPred) Accuracy() float64 {
-	if b.lookups == 0 {
-		return 1
-	}
-	return 1 - float64(b.mispredicts)/float64(b.lookups)
-}

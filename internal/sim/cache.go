@@ -13,14 +13,13 @@ type Cache struct {
 	valid []bool
 	lru   []uint64 // per-entry access stamps
 
-	assoc     int
-	setShift  uint // line-offset bits
-	setMask   uint64
-	setBits   int
-	stamp     uint64
-	accesses  uint64
-	misses    uint64
-	lineBytes uint64
+	assoc    int
+	setShift uint // line-offset bits
+	setMask  uint64
+	setBits  int
+	stamp    uint64
+	accesses uint64
+	misses   uint64
 }
 
 // NewCache builds a cache from a config. Sizes must be powers of two.
@@ -34,14 +33,13 @@ func NewCache(cfg config.CacheConfig) *Cache {
 	}
 	n := sets * cfg.Assoc
 	return &Cache{
-		tags:      make([]uint64, n),
-		valid:     make([]bool, n),
-		lru:       make([]uint64, n),
-		assoc:     cfg.Assoc,
-		setShift:  uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		setMask:   uint64(sets - 1),
-		setBits:   bits.Len64(uint64(sets - 1)),
-		lineBytes: uint64(cfg.LineBytes),
+		tags:     make([]uint64, n),
+		valid:    make([]bool, n),
+		lru:      make([]uint64, n),
+		assoc:    cfg.Assoc,
+		setShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setMask:  uint64(sets - 1),
+		setBits:  bits.Len64(uint64(sets - 1)),
 	}
 }
 
@@ -59,9 +57,6 @@ func (c *Cache) Reset() {
 
 // Line returns the line address (address with offset bits stripped).
 func (c *Cache) Line(addr uint64) uint64 { return addr >> c.setShift }
-
-// LineBytes returns the cache's line size.
-func (c *Cache) LineBytes() uint64 { return c.lineBytes }
 
 // Access looks up addr; on a miss with allocate set it installs the line,
 // evicting the set's LRU entry. It reports whether the access hit.
@@ -112,14 +107,6 @@ func (c *Cache) Accesses() uint64 { return c.accesses }
 
 // Misses returns the number of lookups that missed.
 func (c *Cache) Misses() uint64 { return c.misses }
-
-// MissRate returns misses/accesses (0 if never accessed).
-func (c *Cache) MissRate() float64 {
-	if c.accesses == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(c.accesses)
-}
 
 // mshrFile models a bank of miss-status holding registers: outstanding
 // line misses with their fill-completion cycles. Misses to a line that is
@@ -183,10 +170,4 @@ func (m *mshrFile) full(now uint64) bool {
 func (m *mshrFile) add(line, ready uint64) {
 	m.lines = append(m.lines, line)
 	m.ready = append(m.ready, ready)
-}
-
-// occupancy returns the number of live entries at cycle now.
-func (m *mshrFile) occupancy(now uint64) int {
-	m.prune(now)
-	return len(m.lines)
 }

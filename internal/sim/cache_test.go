@@ -57,13 +57,13 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheMissRate(t *testing.T) {
 	c := smallCache()
-	if c.MissRate() != 0 {
-		t.Fatal("fresh cache miss rate should be 0")
+	if c.Accesses() != 0 || c.Misses() != 0 {
+		t.Fatal("fresh cache has counted accesses")
 	}
 	c.Access(0, true)
 	c.Access(0, true)
-	if mr := c.MissRate(); mr != 0.5 {
-		t.Fatalf("miss rate = %v, want 0.5", mr)
+	if c.Accesses() != 2 || c.Misses() != 1 {
+		t.Fatalf("%d misses in %d accesses, want 1 in 2", c.Misses(), c.Accesses())
 	}
 }
 
@@ -74,9 +74,6 @@ func TestCacheLine(t *testing.T) {
 	}
 	if c.Line(0) == c.Line(64) {
 		t.Fatal("different lines collide")
-	}
-	if c.LineBytes() != 64 {
-		t.Fatalf("line bytes = %d", c.LineBytes())
 	}
 }
 
@@ -109,13 +106,13 @@ func TestMSHRCoalesceAndFull(t *testing.T) {
 	if m.full(100) {
 		t.Fatal("expired entry not pruned")
 	}
-	if m.occupancy(100) != 1 {
-		t.Fatalf("occupancy = %d, want 1", m.occupancy(100))
+	if len(m.lines) != 1 {
+		t.Fatalf("occupancy = %d, want 1", len(m.lines))
 	}
 	if m.full(200) {
 		t.Fatal("all entries should have expired")
 	}
-	if m.occupancy(200) != 0 {
+	if len(m.lines) != 0 {
 		t.Fatal("occupancy should be 0")
 	}
 }

@@ -62,14 +62,6 @@ type Result struct {
 	FPShare         float64 // fraction of retired instructions that are FP
 }
 
-// BIPS returns billions of instructions per second for the run.
-func (r Result) BIPS() float64 {
-	if r.TimeSec == 0 {
-		return 0
-	}
-	return float64(r.Retired) / r.TimeSec / 1e9
-}
-
 type entry struct {
 	instr  trace.Instr
 	seq    uint64
@@ -294,18 +286,6 @@ func resetCache(c *Cache, old, next config.CacheConfig) *Cache {
 	return c
 }
 
-// MustNew is New, panicking on config errors.
-func MustNew(cfg config.Proc, gen Source) *Core {
-	c, err := New(cfg, gen)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Config returns the core's configuration.
-func (c *Core) Config() config.Proc { return c.cfg }
-
 // SetOperatingPoint changes the clock and supply voltage between epochs
 // (dynamic voltage and frequency scaling). Microarchitectural and cache
 // state is preserved — only the cycle cost of the fixed-wall-clock
@@ -318,9 +298,6 @@ func (c *Core) SetOperatingPoint(freqHz, vddV float64) {
 	c.l2Cycles = uint64(math.Ceil(c.cfg.L2.HitLatencySec * freqHz))
 	c.memCycles = uint64(math.Ceil(c.cfg.MemLatencySec * freqHz))
 }
-
-// Retired returns the total instructions retired since construction.
-func (c *Core) Retired() uint64 { return c.retiredTotal }
 
 // Run simulates until at least n more instructions retire and returns
 // the stats for that span (whole cycles complete, so the span may

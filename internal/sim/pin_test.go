@@ -58,7 +58,7 @@ const (
 // short warm-up.
 func digestRun(t *testing.T, h hash.Hash64, c *Core, proc config.Proc, app trace.Profile) {
 	t.Helper()
-	if err := c.Reset(proc, trace.MustNewGenerator(app, 1)); err != nil {
+	if err := c.Reset(proc, mustGenerator(app, 1)); err != nil {
 		t.Fatalf("%s on %s: %v", app.Name, proc.Name, err)
 	}
 	c.Run(digestWarmup)
@@ -80,7 +80,7 @@ func TestResultDigest(t *testing.T) {
 	freqs := []float64{2.5e9, 4.0e9, 5.0e9}
 	archs := config.ArchConfigs()
 	h := fnv.New64a()
-	c := MustNew(config.Base(), newScript([]trace.Instr{{Op: trace.IntAlu}}))
+	c := mustNew(config.Base(), newScript([]trace.Instr{{Op: trace.IntAlu}}))
 	for _, app := range trace.Apps() {
 		if testing.Short() {
 			for i, ai := range []int{0, 10, len(archs) - 1} {
@@ -96,7 +96,7 @@ func TestResultDigest(t *testing.T) {
 	}
 
 	// DVS between epochs, as drm.Controller does.
-	if err := c.Reset(config.Base(), trace.MustNewGenerator(trace.Bzip2(), 1)); err != nil {
+	if err := c.Reset(config.Base(), mustGenerator(trace.Bzip2(), 1)); err != nil {
 		t.Fatal(err)
 	}
 	c.Run(digestWarmup)
@@ -154,7 +154,7 @@ func stepUntil(t *testing.T, c *Core, limit int, what string, cond func() bool) 
 // TestEdgeMSHRsExhausted: independent loads that all miss to memory fill
 // every L1D MSHR, so further misses wait for a fill to complete.
 func TestEdgeMSHRsExhausted(t *testing.T) {
-	c := MustNew(config.Base(), &stridedMissSource{})
+	c := mustNew(config.Base(), &stridedMissSource{})
 	stepUntil(t, c, 2_000, "all L1D MSHRs busy", func() bool {
 		live := 0
 		for _, r := range c.dMSHR.ready {
@@ -165,7 +165,7 @@ func TestEdgeMSHRsExhausted(t *testing.T) {
 		return live == c.cfg.L1D.MSHRs
 	})
 
-	c = MustNew(config.Base(), &stridedMissSource{})
+	c = mustNew(config.Base(), &stridedMissSource{})
 	c.Run(500)
 	want := pinned{
 		Cycles: 25500, Retired: 3000,
@@ -186,7 +186,7 @@ func TestEdgeMSHRsExhausted(t *testing.T) {
 // units' busy-until cycles.
 func TestEdgeDividersSaturated(t *testing.T) {
 	divs := []trace.Instr{{Op: trace.IntDiv}, {Op: trace.FPDiv}}
-	c := MustNew(config.Base(), newScript(divs))
+	c := mustNew(config.Base(), newScript(divs))
 	stepUntil(t, c, 200, "every divider busy", func() bool {
 		for _, b := range c.intBusyUntil {
 			if b < c.cycle {
@@ -201,7 +201,7 @@ func TestEdgeDividersSaturated(t *testing.T) {
 		return true
 	})
 
-	c = MustNew(config.Base(), newScript(divs))
+	c = mustNew(config.Base(), newScript(divs))
 	c.Run(1_000)
 	want := pinned{
 		Cycles: 9079, Retired: 6001,
@@ -247,7 +247,7 @@ func (s *coldCodeSource) Next(out *trace.Instr) {
 // mispredicted branch, so fetch stalls on the fill, blocks on the
 // branch, and spends a redirect cycle before fetching again.
 func TestEdgeICacheMissThenMispredict(t *testing.T) {
-	c := MustNew(config.Base(), &coldCodeSource{})
+	c := mustNew(config.Base(), &coldCodeSource{})
 	var misses, missStall uint64
 	blocked := false
 	stepUntil(t, c, 5_000, "a mispredicted branch fetched as an I-cache fill lands", func() bool {
@@ -263,7 +263,7 @@ func TestEdgeICacheMissThenMispredict(t *testing.T) {
 		return c.fetchBlocked == 0 && c.fetchStallTo == c.cycle
 	})
 
-	c = MustNew(config.Base(), &coldCodeSource{})
+	c = mustNew(config.Base(), &coldCodeSource{})
 	c.Run(1_000)
 	want := pinned{
 		Cycles: 210228, Retired: 4000,
@@ -306,7 +306,7 @@ func (s *headStoreSource) Next(out *trace.Instr) {
 // at the window head; the load issues behind it and is satisfied by
 // forwarding from that head store.
 func TestEdgeForwardFromHeadStore(t *testing.T) {
-	c := MustNew(config.Base(), &headStoreSource{})
+	c := mustNew(config.Base(), &headStoreSource{})
 	hitLat := uint64(c.cfg.L1D.HitLatencyCycles)
 	var waiting []int // window slots holding unissued loads before the step
 	stepUntil(t, c, 500, "a load forwarded from the head store", func() bool {
@@ -333,7 +333,7 @@ func TestEdgeForwardFromHeadStore(t *testing.T) {
 		return false
 	})
 
-	c = MustNew(config.Base(), &headStoreSource{})
+	c = mustNew(config.Base(), &headStoreSource{})
 	c.Run(600)
 	want := pinned{
 		Cycles: 4403, Retired: 3000,

@@ -12,17 +12,17 @@ import (
 // a fresh core: reuse must be observationally indistinguishable from
 // construction (this is the contract the exp arena relies on).
 func TestResetBitIdenticalAcrossProfiles(t *testing.T) {
-	reused := MustNew(config.Base(), newScript([]trace.Instr{{Op: trace.IntAlu}}))
+	reused := mustNew(config.Base(), newScript([]trace.Instr{{Op: trace.IntAlu}}))
 	reused.Run(5_000) // dirty every structure before the first Reset
 	for _, app := range trace.Apps() {
-		fresh := MustNew(config.Base(), trace.MustNewGenerator(app, 7))
+		fresh := mustNew(config.Base(), mustGenerator(app, 7))
 		fresh.Run(20_000)
 		var want [3]Result
 		for i := range want {
 			want[i] = fresh.Run(30_000)
 		}
 
-		if err := reused.Reset(config.Base(), trace.MustNewGenerator(app, 7)); err != nil {
+		if err := reused.Reset(config.Base(), mustGenerator(app, 7)); err != nil {
 			t.Fatalf("%s: Reset: %v", app.Name, err)
 		}
 		reused.Run(20_000)
@@ -41,14 +41,14 @@ func TestResetBitIdenticalAcrossProfiles(t *testing.T) {
 // against a fresh core, covering the buffer-resize paths of Reset.
 func TestResetBitIdenticalAcrossConfigs(t *testing.T) {
 	app := trace.Gzip()
-	reused := MustNew(config.Base(), trace.MustNewGenerator(app, 3))
+	reused := mustNew(config.Base(), mustGenerator(app, 3))
 	reused.Run(5_000)
 	for _, proc := range config.ArchConfigs() {
-		fresh := MustNew(proc, trace.MustNewGenerator(app, 3))
+		fresh := mustNew(proc, mustGenerator(app, 3))
 		fresh.Run(10_000)
 		want := fresh.Run(20_000)
 
-		if err := reused.Reset(proc, trace.MustNewGenerator(app, 3)); err != nil {
+		if err := reused.Reset(proc, mustGenerator(app, 3)); err != nil {
 			t.Fatalf("%s: Reset: %v", proc.Name, err)
 		}
 		reused.Run(10_000)
@@ -62,7 +62,7 @@ func TestResetBitIdenticalAcrossConfigs(t *testing.T) {
 // TestResetRejectsInvalidConfig checks that Reset validates like New and
 // leaves no half-reset state behind on error paths callers might retry.
 func TestResetRejectsInvalidConfig(t *testing.T) {
-	c := MustNew(config.Base(), newScript([]trace.Instr{{Op: trace.IntAlu}}))
+	c := mustNew(config.Base(), newScript([]trace.Instr{{Op: trace.IntAlu}}))
 	bad := config.Base()
 	bad.WindowSize = 0
 	if err := c.Reset(bad, newScript([]trace.Instr{{Op: trace.IntAlu}})); err == nil {
@@ -84,9 +84,9 @@ func smallWindow() config.Proc {
 // window so Run never grows them — including after a Reset to a
 // different window size.
 func TestCoreRunSteadyStateZeroAlloc(t *testing.T) {
-	c := MustNew(config.Base(), newScript([]trace.Instr{{Op: trace.IntAlu}}))
+	c := mustNew(config.Base(), newScript([]trace.Instr{{Op: trace.IntAlu}}))
 	for _, cfg := range []config.Proc{config.Base(), smallWindow(), config.Base()} {
-		if err := c.Reset(cfg, trace.MustNewGenerator(trace.Gzip(), 1)); err != nil {
+		if err := c.Reset(cfg, mustGenerator(trace.Gzip(), 1)); err != nil {
 			t.Fatal(err)
 		}
 		c.Run(50_000) // warm caches and predictor
@@ -101,9 +101,9 @@ func TestCoreRunSteadyStateZeroAlloc(t *testing.T) {
 // same-shape Reset must reuse every buffer, and so must a Reset that only
 // changes the window size once the core has held the larger window.
 func TestCoreResetZeroAlloc(t *testing.T) {
-	g := trace.MustNewGenerator(trace.Gzip(), 1)
+	g := mustGenerator(trace.Gzip(), 1)
 	base, small := config.Base(), smallWindow()
-	c := MustNew(base, g)
+	c := mustNew(base, g)
 	c.Run(10_000)
 	if allocs := testing.AllocsPerRun(10, func() {
 		if err := c.Reset(base, g); err != nil {

@@ -65,9 +65,9 @@ func TestSkipMatchesStepping(t *testing.T) {
 		name string
 		make func() Source
 	}{
-		{"bzip2", func() Source { return trace.MustNewGenerator(trace.Bzip2(), 3) }},
-		{"art", func() Source { return trace.MustNewGenerator(trace.Art(), 3) }},
-		{"mp3dec", func() Source { return trace.MustNewGenerator(trace.MP3dec(), 3) }},
+		{"bzip2", func() Source { return mustGenerator(trace.Bzip2(), 3) }},
+		{"art", func() Source { return mustGenerator(trace.Art(), 3) }},
+		{"mp3dec", func() Source { return mustGenerator(trace.MP3dec(), 3) }},
 		{"misses", func() Source { return &stridedMissSource{} }},
 		{"dividers", func() Source { return newScript([]trace.Instr{{Op: trace.IntDiv}, {Op: trace.FPDiv}}) }},
 		{"miss-and-divides", func() Source { return &missAndDivideSource{} }},
@@ -76,7 +76,7 @@ func TestSkipMatchesStepping(t *testing.T) {
 	}
 	for _, proc := range procs {
 		for _, src := range sources {
-			skip, step := MustNew(proc, src.make()), MustNew(proc, src.make())
+			skip, step := mustNew(proc, src.make()), mustNew(proc, src.make())
 			for epoch, n := range []uint64{2_000, 5_000, 5_000} {
 				if testing.Short() {
 					n /= 4 // the race lane: stepping through idle cycles is slow there

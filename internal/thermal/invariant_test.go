@@ -50,10 +50,10 @@ func TestSteadyStateConservesEnergy(t *testing.T) {
 				sum += w
 			}
 			temps := m.SteadyState(pw)
-			out := (temps[m.Nodes()-1] - m.Ambient()) * m.sinkToAmbient()
+			out := (temps[m.Nodes()-1] - m.p.AmbientK) * m.sinkToAmbient()
 			if rel := math.Abs(out-sum) / sum; rel > 1e-9 {
 				t.Fatalf("%d cores, trial %d: %.12g W to ambient, %.12g W in (rel %.3g)",
-					m.Die().NCores, trial, out, sum, rel)
+					m.die.NCores, trial, out, sum, rel)
 			}
 		}
 	}
@@ -67,9 +67,9 @@ func TestSteadyStateAboveAmbient(t *testing.T) {
 		for trial := 0; trial < 50; trial++ {
 			pw := randomBlockPowers(rng, m.NumBlocks())
 			for i, v := range m.SteadyState(pw) {
-				if v < m.Ambient() {
+				if v < m.p.AmbientK {
 					t.Fatalf("%d cores, trial %d: node %d at %.9f K, below ambient %.2f K",
-						m.Die().NCores, trial, i, v, m.Ambient())
+						m.die.NCores, trial, i, v, m.p.AmbientK)
 				}
 			}
 		}
@@ -90,7 +90,7 @@ func TestSteadyStateMonotoneInPower(t *testing.T) {
 				for i, v := range m.SteadyState(raised) {
 					if v < base[i] {
 						t.Fatalf("%d cores, trial %d: raising block %d cooled node %d from %.12g to %.12g K",
-							m.Die().NCores, trial, k, i, base[i], v)
+							m.die.NCores, trial, k, i, base[i], v)
 					}
 				}
 			}

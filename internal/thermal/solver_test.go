@@ -73,7 +73,7 @@ func TestFactorNonzeros(t *testing.T) {
 
 func TestQuasiSteadyDoesNotAllocate(t *testing.T) {
 	m := model()
-	pw := power.Uniform(2.5)
+	pw := uniform(2.5)
 	x := make([]float64, m.Nodes()-1)
 	allocs := testing.AllocsPerRun(100, func() {
 		m.QuasiSteadyInto(x, pw[:], 340)

@@ -39,7 +39,6 @@ import (
 
 	"ramp/internal/check"
 	"ramp/internal/floorplan"
-	"ramp/internal/obs"
 )
 
 // Params holds the physical constants of the package stack.
@@ -97,9 +96,6 @@ type Model struct {
 	// the matrix depends only on geometry and package constants.
 	quasi   lu
 	gToSink []float64 // per-node conductance into the pinned sink (RHS assembly)
-
-	// solves counts linear-system solves (observability; nil = uncounted).
-	solves *obs.Counter
 }
 
 // New assembles the thermal network of a die and factorizes its
@@ -182,24 +178,12 @@ func MustNew(die *floorplan.Die, p Params) *Model {
 	return m
 }
 
-// CountSolves attaches a counter incremented once per QuasiSteadyInto
-// solve. The counter is atomic, so counting stays safe under concurrent
-// solves; a nil counter (the default) makes the increment a nil-check
-// no-op. Attach it before the first solve.
-func (m *Model) CountSolves(c *obs.Counter) { m.solves = c }
-
-// Die returns the floorplan die the model was built from.
-func (m *Model) Die() *floorplan.Die { return m.die }
-
 // NumBlocks returns the die's block count (cores · NumStructures); the
 // block power slices the solves take have this length.
 func (m *Model) NumBlocks() int { return m.nb }
 
 // Nodes returns the total node count (blocks + spreader + sink).
 func (m *Model) Nodes() int { return m.n }
-
-// Ambient returns the model's ambient temperature (K).
-func (m *Model) Ambient() float64 { return m.p.AmbientK }
 
 // SinkSteadyTemp returns the sink temperature reached under a constant
 // total die power (the first pass of the paper's two-pass
@@ -235,7 +219,6 @@ func (m *Model) QuasiSteadyInto(x, blockPower []float64, sinkTempK float64) {
 		x[i] += blockPower[i]
 	}
 	m.quasi.solve(x)
-	m.solves.Inc()
 	for i := 0; i < m.nb; i++ {
 		// A block temperature outside plausible silicon range means the
 		// power input or the pinned sink temperature carried a unit bug.

@@ -37,7 +37,7 @@ func TestSinkTempEnergyConservation(t *testing.T) {
 	m := model()
 	// In steady state all generated heat flows through the sink's
 	// convection resistance: T_sink = T_amb + P_total * R_sink.
-	pw := power.Uniform(2.0) // 22 W total
+	pw := uniform(2.0) // 22 W total
 	temps := m.SteadyState(pw[:])
 	sink := temps[len(temps)-1]
 	want := m.SinkSteadyTemp(pw.Sum())
@@ -48,7 +48,7 @@ func TestSinkTempEnergyConservation(t *testing.T) {
 
 func TestTemperatureOrdering(t *testing.T) {
 	m := model()
-	pw := power.Uniform(2.0)
+	pw := uniform(2.0)
 	temps := m.SteadyState(pw[:])
 	sink := temps[len(temps)-1]
 	spreader := temps[len(temps)-2]
@@ -92,7 +92,7 @@ func TestLateralCouplingWarmsNeighbours(t *testing.T) {
 
 func TestQuasiSteadyMatchesSteadyState(t *testing.T) {
 	m := model()
-	pw := power.Uniform(2.5)
+	pw := uniform(2.5)
 	full := m.SteadyState(pw[:])
 	sink := full[len(full)-1]
 	qs := quasiSteady(m, pw, sink)
@@ -116,7 +116,7 @@ func TestMaxCoreTemp(t *testing.T) {
 	temps := make([]float64, m.Nodes()-1)
 	temps[floorplan.FPU] = 400
 	temps[floorplan.L1I] = 350
-	temps[m.Die().Index(1, floorplan.Fetch)] = 380
+	temps[m.die.Index(1, floorplan.Fetch)] = 380
 	temps[m.NumBlocks()] = 500 // the spreader belongs to no core
 	if got := m.MaxCoreTemp(temps, 0); got != 400 {
 		t.Fatalf("MaxCoreTemp(core 0) = %v, want 400", got)
@@ -133,7 +133,7 @@ func TestMoreCoolingLowersTemps(t *testing.T) {
 	die := floorplan.MustNewDie(floorplan.R10000Like(), 1)
 	m1 := MustNew(die, p1)
 	m2 := MustNew(die, p2)
-	pw := power.Uniform(3)
+	pw := uniform(3)
 	t1 := m1.SteadyState(pw[:])
 	t2 := m2.SteadyState(pw[:])
 	for i := range t1 {
@@ -141,4 +141,13 @@ func TestMoreCoolingLowersTemps(t *testing.T) {
 			t.Fatalf("better sink did not cool node %d: %v vs %v", i, t2[i], t1[i])
 		}
 	}
+}
+
+// uniform returns a power.Vector with every entry x.
+func uniform(x float64) power.Vector {
+	var v power.Vector
+	for i := range v {
+		v[i] = x
+	}
+	return v
 }

@@ -11,13 +11,13 @@ import (
 // restore the exact post-construction RNG state.
 func TestResetMatchesFreshGenerator(t *testing.T) {
 	apps := Apps()
-	reused := MustNewGenerator(apps[len(apps)-1], 99)
+	reused := mustGenerator(apps[len(apps)-1], 99)
 	var scratch Instr
 	for i := 0; i < 10_000; i++ { // advance deep into the stream
 		reused.Next(&scratch)
 	}
 	for _, app := range apps {
-		fresh := MustNewGenerator(app, 42)
+		fresh := mustGenerator(app, 42)
 		if err := reused.Reset(app, 42); err != nil {
 			t.Fatalf("%s: Reset: %v", app.Name, err)
 		}
@@ -38,7 +38,7 @@ func TestResetMatchesFreshGenerator(t *testing.T) {
 // re-Resetting to the same profile and generating must not allocate.
 func TestGeneratorSteadyStateZeroAlloc(t *testing.T) {
 	app := Gzip()
-	g := MustNewGenerator(app, 1)
+	g := mustGenerator(app, 1)
 	if err := g.Reset(app, 1); err != nil { // warm the scratch buffers
 		t.Fatal(err)
 	}

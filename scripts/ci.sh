@@ -5,7 +5,8 @@
 # build, the full test suite (including the golden snapshot compare),
 # the rampdebug invariant lane, the race lane (with -short so it stays
 # fast), short fuzz bursts on the trace generator and the cache key, the
-# end-to-end smoke script, and the rampvet domain linter. Every lane
+# end-to-end smoke script, and the rampvet domain linter (default tags
+# and rampdebug). Every lane
 # runs even if an earlier one fails; the exit status is the number of
 # failed lanes. The obscheck lane exercises the observability layer
 # (-trace/-stats on a real run, trace validation, obsguard). The
@@ -65,6 +66,9 @@ lane "loadcheck" ./scripts/loadcheck.sh
 # `go run ./cmd/rampvet -write-baseline ./...` only when grandfathering
 # is the deliberate choice; the default fix is the code.
 lane "rampvet" go run ./cmd/rampvet -baseline .rampvet-baseline ./...
+# The rampdebug tree: internal/check's debug files, and whatever only
+# the debug build reaches, are analyzed only under the tag.
+lane "rampvet -tags rampdebug" go run ./cmd/rampvet -tags rampdebug -baseline .rampvet-baseline ./...
 
 if [ "${failures}" -ne 0 ]; then
 	echo "${failures} lane(s) failed" >&2
