@@ -35,8 +35,9 @@ type Package struct {
 // which checks them from GOROOT.
 //
 // The loader parses with the default build configuration (current
-// GOOS/GOARCH, no extra tags), so `rampdebug`-gated files are excluded
-// exactly as in a normal `go build`. Test files are never loaded:
+// GOOS/GOARCH) plus the extra tags given to NewLoader, so without
+// `rampdebug` its gated files are excluded exactly as in a normal
+// `go build`. Test files are never loaded:
 // rampvet's analyzers target production code, and several of them
 // (floatcmp, seeddet) explicitly permit in tests what they flag outside
 // them.

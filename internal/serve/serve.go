@@ -94,9 +94,6 @@ type Server struct {
 	handler http.Handler // mux wrapped in the request middleware
 	log     *slog.Logger
 
-	// addr publishes the bound listener address once Serve starts.
-	addr chan net.Addr
-
 	// draining closes when graceful shutdown begins, so long-lived
 	// handlers (/v1/metrics/stream subscribers) return promptly and
 	// http.Server.Shutdown never waits on them.
@@ -124,7 +121,6 @@ func New(env *exp.Env, cfg Config) *Server {
 		start:    time.Now(),
 		mux:      http.NewServeMux(),
 		log:      log,
-		addr:     make(chan net.Addr, 1),
 		draining: make(chan struct{}),
 	}
 	s.mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
@@ -147,24 +143,12 @@ func New(env *exp.Env, cfg Config) *Server {
 //rampvet:ignore unreached -- the httptest mount of the serve, load and obs-coverage tests and of BenchmarkServeEvaluateHandler
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Addr blocks until Serve has bound its listener and returns the bound
-// address (useful with port 0).
-func (s *Server) Addr() net.Addr {
-	a := <-s.addr
-	s.addr <- a
-	return a
-}
-
 // Serve runs the HTTP service on ln until ctx is cancelled, then shuts
 // down gracefully: stop accepting, let in-flight requests (and their
 // queued jobs) finish within DrainTimeout, and return nil on a clean
 // drain. It owns ln.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{Handler: s.handler}
-	select {
-	case s.addr <- ln.Addr():
-	default:
-	}
 
 	// The goroutine terminates exactly when Serve returns — on listener
 	// failure or on the Shutdown below — handing its result off through
