@@ -77,39 +77,6 @@ func (l *Loader) reachedFuncs() (map[*types.Func]bool, error) {
 		node ast.Node
 		info *types.Info
 	}
-	decls := map[*types.Func]body{}
-	var pkgDecls []body
-	var roots, methods []*types.Func
-	ifaces, seen := map[string]bool{}, map[*types.Package]bool{}
-	for _, dir := range dirs {
-		pkg, err := l.LoadDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		interfaceMethods(pkg.Types, ifaces, seen)
-		allRoots := pkg.Types.Name() == "main" || pkg.Path == l.ModulePath
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					pkgDecls = append(pkgDecls, body{d, pkg.Info})
-					continue
-				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				decls[fn] = body{fd, pkg.Info}
-				switch {
-				case allRoots || (fd.Recv == nil && fd.Name.Name == "init"):
-					roots = append(roots, fn)
-				case fd.Recv != nil:
-					methods = append(methods, fn)
-				}
-			}
-		}
-	}
-
 	reached := map[*types.Func]bool{}
 	var queue []*types.Func
 	mark := func(fn *types.Func) {
@@ -128,16 +95,43 @@ func (l *Loader) reachedFuncs() (map[*types.Func]bool, error) {
 			return true
 		})
 	}
-	for _, fn := range roots {
-		mark(fn)
+
+	decls := map[*types.Func]body{}
+	var methods []*types.Func
+	ifaces, seen := map[string]bool{}, map[*types.Package]bool{}
+	for _, dir := range dirs {
+		pkg, err := l.LoadDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		interfaceMethods(pkg.Types, ifaces, seen)
+		allRoots := pkg.Types.Name() == "main" || pkg.Path == l.ModulePath
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					visit(body{d, pkg.Info}) // package-level declarations name roots
+					continue
+				}
+				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+				if !ok {
+					continue
+				}
+				decls[fn] = body{fd, pkg.Info}
+				switch {
+				case allRoots || (fd.Recv == nil && fd.Name.Name == "init"):
+					mark(fn)
+				case fd.Recv != nil:
+					methods = append(methods, fn)
+				}
+			}
+		}
 	}
+	// The interface names are complete only once every package is in.
 	for _, fn := range methods {
 		if ifaces[fn.Name()] {
 			mark(fn)
 		}
-	}
-	for _, b := range pkgDecls {
-		visit(b)
 	}
 	for len(queue) > 0 {
 		fn := queue[len(queue)-1]
