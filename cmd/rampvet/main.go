@@ -16,7 +16,7 @@
 //	unreached   functions under internal/ that no artifact reaches
 //
 // Four are flow-aware: detmap, ctxflow, hotalloc and goroleak consult
-// the package call graph and per-function control-flow graphs built by
+// the package call graph and the per-function loops built by
 // internal/lint/flow. unreached loads the whole module from its root,
 // whatever the package patterns, and walks its uses from every main
 // package, the ramp.go facade and every init.
@@ -26,13 +26,10 @@
 //	rampvet [flags] [packages]
 //
 // Packages default to ./... relative to the working directory, which
-// must be inside the module. Findings are compared against the
-// module-root .rampvet-baseline (override with -baseline): baselined
-// findings are grandfathered and reported only in the exit-0 summary,
-// fresh findings fail the run. -write-baseline regenerates the file
-// from the current tree; -json emits machine-readable findings;
-// -lint-stats prints per-analyzer counts. rampvet exits 0 if every finding is
-// baselined, 1 if any fresh finding was reported, and 2 on usage or
+// must be inside the module. Every finding fails the run; a deliberate
+// exception is a `//rampvet:ignore <analyzer> -- reason` comment on or
+// above the line. -json emits machine-readable findings. rampvet exits
+// 0 when there are no findings, 1 when there are, and 2 on usage or
 // load errors — the same contract as go vet, so it slots into
 // scripts/ci.sh unchanged.
 //
@@ -45,7 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"ramp/internal/lint"
@@ -60,7 +56,6 @@ type jsonDiagnostic struct {
 	Column   int    `json:"column"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-	Fresh    bool   `json:"fresh"`
 }
 
 func main() {
@@ -72,11 +67,7 @@ func run() int {
 	analyzersFlag := flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	disableFlag := flag.String("disable", "", "comma-separated analyzers to exclude from the run")
 	jsonFlag := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	statsFlag := flag.Bool("lint-stats", false, "print per-analyzer finding counts after the run (-stats is the obs metrics summary)")
-	baselineFlag := flag.String("baseline", "", "baseline file grandfathering known findings (default: <module root>/"+lint.BaselineName+")")
-	writeBaselineFlag := flag.Bool("write-baseline", false, "rewrite the baseline from the current tree's findings and exit")
 	tagsFlag := flag.String("tags", "", "comma-separated extra build tags (e.g. rampdebug)")
-	workersFlag := flag.Int("workers", 0, "concurrent package analyses (default: GOMAXPROCS)")
 	obsFlags := obs.AddFlags(flag.CommandLine)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: rampvet [flags] [packages]\n")
@@ -134,47 +125,17 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	root, err := lint.FindModuleRoot(cwd)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	baselinePath := *baselineFlag
-	if baselinePath == "" {
-		baselinePath = filepath.Join(root, lint.BaselineName)
-	}
-
-	cfg := lint.Config{Workers: *workersFlag}
+	var tags []string
 	if *tagsFlag != "" {
-		cfg.Tags = strings.Split(*tagsFlag, ",")
+		tags = strings.Split(*tagsFlag, ",")
 	}
-	diags, err := lint.RunConfigured(cfg, cwd, flag.Args(), analyzers)
+	diags, err := lint.Run(cwd, flag.Args(), analyzers, tags...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-
-	if *writeBaselineFlag {
-		if err := lint.WriteBaseline(baselinePath, root, diags); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "rampvet: wrote %d finding(s) to %s\n", len(diags), baselinePath)
-		return 0
-	}
-
-	base, err := lint.LoadBaseline(baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	fresh, grandfathered := base.Filter(root, diags)
 
 	if *jsonFlag {
-		freshSet := map[lint.Diagnostic]bool{}
-		for _, d := range fresh {
-			freshSet[d] = true
-		}
 		out := make([]jsonDiagnostic, 0, len(diags))
 		for _, d := range diags {
 			out = append(out, jsonDiagnostic{
@@ -183,7 +144,6 @@ func run() int {
 				Column:   d.Pos.Column,
 				Analyzer: d.Analyzer,
 				Message:  d.Message,
-				Fresh:    freshSet[d],
 			})
 		}
 		enc := json.NewEncoder(os.Stdout)
@@ -193,24 +153,14 @@ func run() int {
 			return 2
 		}
 	} else {
-		for _, d := range fresh {
+		for _, d := range diags {
 			fmt.Println(d)
 		}
 	}
 
-	if *statsFlag {
-		for _, s := range lint.Stats(analyzers, diags) {
-			fmt.Fprintf(os.Stderr, "%-12s %d\n", s.Name, s.Count)
-		}
-	}
-
-	if len(fresh) > 0 {
-		fmt.Fprintf(os.Stderr, "rampvet: %d fresh issue(s) found (%d grandfathered by %s)\n",
-			len(fresh), grandfathered, baselinePath)
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "rampvet: %d issue(s) found\n", len(diags))
 		return 1
-	}
-	if grandfathered > 0 {
-		fmt.Fprintf(os.Stderr, "rampvet: clean (%d grandfathered finding(s) in %s)\n", grandfathered, baselinePath)
 	}
 	return 0
 }

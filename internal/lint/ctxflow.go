@@ -24,10 +24,11 @@ import (
 //     local helper whose call graph reaches one) without passing any
 //     context argument; when a "<name>Ctx" sibling exists the message
 //     names it.
-//   - uncancellable loop: a CFG loop in a ctx-bearing function that
-//     makes long-running calls but contains no cancellation point — no
+//   - uncancellable loop: a loop in a ctx-bearing function that makes
+//     long-running calls but contains no cancellation point — no
 //     ctx.Err()/ctx.Done() check, no select, and no call that receives
-//     a context. Each iteration extends the uncancellable window.
+//     a context — and no severed call, which is reported already. Each
+//     iteration extends the uncancellable window.
 //
 // Both checks are scoped to functions that already accept a ctx: those
 // are exactly the functions on the serve path (handlers thread ctx by
@@ -80,19 +81,24 @@ func runCtxFlow(pass *Pass) error {
 			return true
 		})
 
-		// Uncancellable loops, via the control-flow graph.
-		for _, loop := range fi.CFG().Loops {
+		// Uncancellable loops.
+		for _, loop := range flow.Loops(fi.Decl.Body) {
 			if loopHasCancellation(pass, loop) {
 				continue
 			}
-			hasSevered := false
+			// A severed call inside the loop was already reported
+			// above; don't double-report the enclosing loop.
+			hasSevered := loop.Contains(func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				return ok && flagged[call]
+			})
+			if hasSevered {
+				continue
+			}
 			hasLongRun := loop.Contains(func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return false
-				}
-				if flagged[call] {
-					hasSevered = true
 				}
 				callee := flow.Callee(pass.Info, call)
 				if callee == nil {
@@ -102,9 +108,7 @@ func runCtxFlow(pass *Pass) error {
 					return isLongRunningName(c.Name())
 				})
 			})
-			if hasLongRun && !hasSevered {
-				// A severed call inside the loop was already reported
-				// above; don't double-report the enclosing loop.
+			if hasLongRun {
 				pass.Reportf(loop.Stmt.Pos(), "loop makes long-running calls with no cancellation point; check ctx.Err() or pass ctx into the loop body")
 			}
 		}
@@ -209,7 +213,7 @@ func ctxSibling(fn *types.Func) *types.Func {
 	return sib
 }
 
-// loopHasCancellation reports whether any block of the loop contains a
+// loopHasCancellation reports whether the loop contains a
 // cancellation point: a reference to a live context *variable*
 // (ctx.Err(), ctx.Done(), passing ctx onward, an *http.Request in
 // hand) or a select statement (which waits on channels the parent

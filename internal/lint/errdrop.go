@@ -3,6 +3,8 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+
+	"ramp/internal/lint/flow"
 )
 
 // ErrDrop flags statement-position calls whose error result is silently
@@ -68,7 +70,7 @@ func runErrDrop(pass *Pass) error {
 // errDropExempt reports whether the call is on the documented
 // never-fails allowlist.
 func errDropExempt(pass *Pass, call *ast.CallExpr) bool {
-	fn := calleeFunc(pass.Info, call)
+	fn := flow.Callee(pass.Info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}

@@ -29,20 +29,6 @@ type FuncInfo struct {
 	// CallSites maps each callee to its call expressions, for
 	// analyzers that need positions or arguments.
 	CallSites map[*types.Func][]*ast.CallExpr
-
-	cfg *CFG
-}
-
-// CFG lazily builds and caches the function's control-flow graph.
-func (f *FuncInfo) CFG() *CFG {
-	if f.cfg == nil {
-		var body *ast.BlockStmt
-		if f.Decl != nil {
-			body = f.Decl.Body
-		}
-		f.cfg = Build(body)
-	}
-	return f.cfg
 }
 
 // Graph is the call graph of one type-checked package. Edges to

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"slices"
 	"testing"
 )
 
@@ -41,51 +42,38 @@ func funcBody(t *testing.T, f *ast.File, name string) *ast.BlockStmt {
 	return nil
 }
 
-func TestCFGStraightLine(t *testing.T) {
-	f, _ := load(t, `package flowtest
-func f() int {
-	x := 1
-	y := x + 2
-	return y
-}`)
-	c := Build(funcBody(t, f, "f"))
-	if len(c.Loops) != 0 {
-		t.Fatalf("straight-line function has %d loops", len(c.Loops))
+// loopsOf parses src and returns the loops of its function f, with each
+// loop's nodes rendered as their source text and sorted: the walk order
+// is not part of the contract.
+func loopsOf(t *testing.T, src string) ([]*Loop, [][]string) {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "loops.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(c.Entry.Nodes) != 3 {
-		t.Fatalf("entry block has %d nodes, want 3 (two assigns + return)", len(c.Entry.Nodes))
+	loops := Loops(funcBody(t, f, "f"))
+	texts := make([][]string, len(loops))
+	for i, l := range loops {
+		for _, n := range l.Nodes {
+			texts[i] = append(texts[i], src[fset.Position(n.Pos()).Offset:fset.Position(n.End()).Offset])
+		}
+		slices.Sort(texts[i])
 	}
-	if len(c.Entry.Succs) != 0 {
-		t.Fatalf("entry ending in return has successors %v", c.Entry.Succs)
+	return loops, texts
+}
+
+// wantNodes fails unless got, a sorted node listing, holds exactly want.
+func wantNodes(t *testing.T, loop string, got []string, want ...string) {
+	t.Helper()
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("%s loop nodes = %q, want %q", loop, got, want)
 	}
 }
 
-func TestCFGIf(t *testing.T) {
-	f, _ := load(t, `package flowtest
-func f(b bool) int {
-	x := 0
-	if b {
-		x = 1
-	} else {
-		x = 2
-	}
-	return x
-}`)
-	c := Build(funcBody(t, f, "f"))
-	// Entry (assign + cond) must branch two ways and rejoin.
-	if len(c.Entry.Succs) != 2 {
-		t.Fatalf("if dispatch has %d successors, want 2", len(c.Entry.Succs))
-	}
-	join := c.Entry.Succs[1].Succs[0] // then-block's successor is the join... order varies; find common
-	a, b := c.Entry.Succs[0], c.Entry.Succs[1]
-	if len(a.Succs) != 1 || len(b.Succs) != 1 || a.Succs[0] != b.Succs[0] {
-		t.Fatalf("if branches do not rejoin: %v vs %v", a.Succs, b.Succs)
-	}
-	_ = join
-}
-
-func TestCFGForLoop(t *testing.T) {
-	f, _ := load(t, `package flowtest
+func TestLoopsFor(t *testing.T) {
+	loops, nodes := loopsOf(t, `package p
 func f(n int) int {
 	sum := 0
 	for i := 0; i < n; i++ {
@@ -93,65 +81,39 @@ func f(n int) int {
 	}
 	return sum
 }`)
-	c := Build(funcBody(t, f, "f"))
-	if len(c.Loops) != 1 {
-		t.Fatalf("got %d loops, want 1", len(c.Loops))
+	if len(loops) != 1 {
+		t.Fatalf("got %d loops, want 1", len(loops))
 	}
-	loop := c.Loops[0]
-	if _, ok := loop.Stmt.(*ast.ForStmt); !ok {
-		t.Fatalf("loop stmt is %T", loop.Stmt)
+	if _, ok := loops[0].Stmt.(*ast.ForStmt); !ok {
+		t.Fatalf("loop stmt is %T", loops[0].Stmt)
 	}
-	// The loop must contain its accumulation but not the return.
-	if !loop.Contains(func(n ast.Node) bool { _, ok := n.(*ast.AssignStmt); return ok }) {
-		t.Error("loop does not contain its body assignment")
-	}
-	if loop.Contains(func(n ast.Node) bool { _, ok := n.(*ast.ReturnStmt); return ok }) {
-		t.Error("loop claims the function's return statement")
-	}
-	// Back edge: some block in the loop must have the header as successor.
-	hasBackEdge := false
-	for _, b := range loop.Blocks {
-		for _, s := range b.Succs {
-			if s == loop.Header {
-				hasBackEdge = true
-			}
-		}
-	}
-	if !hasBackEdge {
-		t.Error("loop has no back edge to its header")
-	}
+	// The condition, the post statement and the body run under the
+	// loop; its init runs once before it, and the return after it.
+	wantNodes(t, "for", nodes[0], "i < n", "i++", "sum += i")
 }
 
-func TestCFGNestedLoops(t *testing.T) {
-	f, _ := load(t, `package flowtest
+func TestLoopsNested(t *testing.T) {
+	_, nodes := loopsOf(t, `package p
 func f(m [][]int) int {
 	sum := 0
-	for _, row := range m {
-		for _, v := range row {
-			sum += v
+	for _, r := range m {
+		for j, v := range r[1:] {
+			sum += v * j
 		}
 	}
 	return sum
 }`)
-	c := Build(funcBody(t, f, "f"))
-	if len(c.Loops) != 2 {
-		t.Fatalf("got %d loops, want 2", len(c.Loops))
+	if len(nodes) != 2 {
+		t.Fatalf("got %d loops, want 2", len(nodes))
 	}
-	outer, inner := c.Loops[0], c.Loops[1]
-	// The outer loop owns every block of the inner loop.
-	owned := map[*Block]bool{}
-	for _, b := range outer.Blocks {
-		owned[b] = true
-	}
-	for _, b := range inner.Blocks {
-		if !owned[b] {
-			t.Fatalf("inner loop block %d not owned by outer loop", b.Index)
-		}
-	}
+	// The outer loop holds every node of the inner one; neither holds
+	// its range key or value.
+	wantNodes(t, "outer", nodes[0], "m", "r[1:]", "sum += v * j")
+	wantNodes(t, "inner", nodes[1], "r[1:]", "sum += v * j")
 }
 
-func TestCFGBreakContinue(t *testing.T) {
-	f, _ := load(t, `package flowtest
+func TestLoopsBreakContinue(t *testing.T) {
+	loops, _ := loopsOf(t, `package p
 func f(xs []int) int {
 	sum := 0
 	for _, x := range xs {
@@ -165,13 +127,12 @@ func f(xs []int) int {
 	}
 	return sum
 }`)
-	c := Build(funcBody(t, f, "f"))
-	if len(c.Loops) != 1 {
-		t.Fatalf("got %d loops, want 1", len(c.Loops))
+	if len(loops) != 1 {
+		t.Fatalf("got %d loops, want 1", len(loops))
 	}
 	// Both branch statements live inside the loop.
 	n := 0
-	c.Loops[0].Contains(func(m ast.Node) bool {
+	loops[0].Contains(func(m ast.Node) bool {
 		if _, ok := m.(*ast.BranchStmt); ok {
 			n++
 		}
@@ -182,8 +143,8 @@ func f(xs []int) int {
 	}
 }
 
-func TestCFGSelect(t *testing.T) {
-	f, _ := load(t, `package flowtest
+func TestLoopsSelect(t *testing.T) {
+	loops, nodes := loopsOf(t, `package p
 func f(a, b chan int) int {
 	for {
 		select {
@@ -194,16 +155,52 @@ func f(a, b chan int) int {
 		}
 	}
 }`)
-	c := Build(funcBody(t, f, "f"))
-	if len(c.Loops) != 1 {
-		t.Fatalf("got %d loops, want 1", len(c.Loops))
+	if len(loops) != 1 {
+		t.Fatalf("got %d loops, want 1", len(loops))
 	}
-	if !c.Loops[0].Contains(func(n ast.Node) bool { _, ok := n.(*ast.SelectStmt); return ok }) {
-		// The select dispatch lives in a loop block even though its
-		// cases are their own blocks.
-		if !c.Loops[0].Contains(func(n ast.Node) bool { _, ok := n.(*ast.ReturnStmt); return ok }) {
-			t.Error("loop contains neither the select nor its case bodies")
+	// A select contributes its communication clauses and their bodies,
+	// not itself.
+	wantNodes(t, "for", nodes[0], "v := <-a", "return v", "<-b", "return 0")
+	if loops[0].Contains(func(n ast.Node) bool { _, ok := n.(*ast.SelectStmt); return ok }) {
+		t.Error("loop lists the select statement itself")
+	}
+}
+
+// TestLoopsCompoundParts pins which parts of each compound statement
+// run under a loop, and that a function literal's loops are its own.
+func TestLoopsCompoundParts(t *testing.T) {
+	loops, nodes := loopsOf(t, `package p
+func f(xs []int, ch chan int, v any) {
+	for i := 0; i < len(xs); i++ {
+		if x := xs[i]; x > 0 {
+			ch <- x
+		} else if x < -1 {
+			continue
 		}
+		switch y := i * 2; y {
+		case 0, 2:
+			i--
+		default:
+		}
+		switch t := v.(type) {
+		case int:
+			_ = t
+		}
+		go func() { for range ch {} }()
+	}
+}`)
+	if len(loops) != 1 {
+		t.Fatalf("got %d loops, want 1: a function literal's loop is not the body's", len(loops))
+	}
+	wantNodes(t, "for", nodes[0],
+		"i < len(xs)", "i++",
+		"x := xs[i]", "x > 0", "ch <- x", "x < -1", "continue",
+		"y := i * 2", "y", "0", "2", "i--",
+		"t := v.(type)", "int", "_ = t",
+		"go func() { for range ch {} }()")
+	// Contains still descends into the literal.
+	if !loops[0].Contains(func(n ast.Node) bool { _, ok := n.(*ast.RangeStmt); return ok }) {
+		t.Error("Contains does not reach the function literal's loop")
 	}
 }
 

@@ -72,7 +72,7 @@ func checkGoStmt(pass *Pass, g *flow.Graph, gs *ast.GoStmt) {
 	if !ok {
 		return
 	}
-	for _, loop := range flow.Build(lit.Body).Loops {
+	for _, loop := range flow.Loops(lit.Body) {
 		fs, ok := loop.Stmt.(*ast.ForStmt)
 		if !ok || fs.Cond != nil {
 			continue

@@ -6,6 +6,8 @@ import (
 	"go/types"
 	"strings"
 	"unicode"
+
+	"ramp/internal/lint/flow"
 )
 
 // isFloat reports whether t's underlying type is a floating-point type.
@@ -82,26 +84,10 @@ func isTempName(name string) bool {
 	return false
 }
 
-// calleeFunc resolves the *types.Func a call invokes, or nil for
-// indirect calls, conversions and built-ins.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
-}
-
 // isPkgFunc reports whether call invokes the package-level function
 // pkgPath.name.
 func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	f := calleeFunc(info, call)
+	f := flow.Callee(info, call)
 	return f != nil && f.Pkg() != nil && f.Pkg().Path() == pkgPath && f.Name() == name &&
 		f.Type().(*types.Signature).Recv() == nil
 }

@@ -7,15 +7,15 @@
 // The framework has four parts:
 //
 //   - Analyzer: a named check with a Run function over a type-checked
-//     package (this file), plus the baseline/grandfathering machinery
-//     (baseline.go) the CI gate runs against.
+//     package, and the //rampvet:ignore suppression rule (this file).
+//     Every finding that no such comment suppresses fails the gate.
 //   - Loader: resolves "./..."-style patterns to module packages,
 //     parses them with build-constraint filtering, and type-checks them
 //     with a stdlib-only importer chain (load.go). Analysis fans out
-//     across packages with a deterministic merge (RunConfigured).
-//   - flow (internal/lint/flow): per-function control-flow graphs and
-//     a package-level call graph with interprocedural reachability —
-//     the engine under the flow-aware analyzers.
+//     across packages with a deterministic merge (Run).
+//   - flow (internal/lint/flow): each function's loops with the nodes
+//     under them, and a package-level call graph with interprocedural
+//     reachability — the engine under the flow-aware analyzers.
 //   - The domain analyzers. Per-statement pattern checks (floatcmp.go,
 //     unitsafety.go, expguard.go, seeddet.go, errdrop.go, obsguard.go):
 //     float equality, Celsius-into-Kelvin constants, unguarded
@@ -92,7 +92,7 @@ type Analyzer struct {
 
 // All returns the full analyzer suite in stable order. The first six
 // are per-statement pattern checks; the next four are flow-aware,
-// built on the internal/lint/flow CFG and call-graph engine; the last,
+// built on the internal/lint/flow loop and call-graph engine; the last,
 // unreached, walks the whole module's uses from its artifacts.
 func All() []*Analyzer {
 	return []*Analyzer{

@@ -87,14 +87,6 @@ func NewLoader(dir string, extraTags ...string) (*Loader, error) {
 
 // findModule walks up from dir to the enclosing go.mod and returns the
 // module root directory and module path.
-// FindModuleRoot returns the root directory of the module containing
-// dir (the directory holding go.mod). The rampvet driver uses it to
-// resolve the default baseline path before any package is loaded.
-func FindModuleRoot(dir string) (string, error) {
-	root, _, err := findModule(dir)
-	return root, err
-}
-
 func findModule(dir string) (root, modPath string, err error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -307,26 +299,14 @@ func (l *Loader) ResolvePatterns(dir string, patterns []string) ([]string, error
 	return out, nil
 }
 
-// Config controls a whole-module analysis run.
-type Config struct {
-	// Tags are extra build tags (e.g. "rampdebug") applied during
-	// loading, so analyzers see the same tree the compiler would.
-	Tags []string
-	// Workers bounds the per-package analysis parallelism; <= 0 means
-	// GOMAXPROCS. Loading/type-checking stays sequential (the loader's
-	// package cache is shared), but analyzer execution — the AST
-	// walks, CFG and call-graph construction — fans out per package.
-	Workers int
-}
-
-// RunConfigured loads every package matched by patterns (relative to
-// dir) and applies the analyzers, returning all diagnostics sorted by
-// position. Packages are analyzed concurrently and the per-package
-// results merged in a deterministic order (the final sort is by
-// position, so the output is identical regardless of worker count or
-// completion order).
-func RunConfigured(cfg Config, dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	l, err := NewLoader(dir, cfg.Tags...)
+// Run loads every package matched by patterns (relative to dir), with
+// the extra build tags, and applies the analyzers, returning all
+// diagnostics sorted by position. Loading and type-checking are
+// sequential (the loader's package cache is shared); the analyzers run
+// on up to GOMAXPROCS packages at once, and the final sort by position
+// makes the output independent of completion order.
+func Run(dir string, patterns []string, analyzers []*Analyzer, tags ...string) ([]Diagnostic, error) {
+	l, err := NewLoader(dir, tags...)
 	if err != nil {
 		return nil, err
 	}
@@ -341,11 +321,7 @@ func RunConfigured(cfg Config, dir string, patterns []string, analyzers []*Analy
 		}
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(pkgs))
+	workers := min(runtime.GOMAXPROCS(0), len(pkgs))
 	perPkg := make([][]Diagnostic, len(pkgs))
 	errs := make([]error, len(pkgs))
 	var wg sync.WaitGroup

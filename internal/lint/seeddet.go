@@ -3,6 +3,8 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+
+	"ramp/internal/lint/flow"
 )
 
 // SeedDet flags non-deterministic RNG construction outside tests.
@@ -43,7 +45,7 @@ func runSeedDet(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(pass.Info, call)
+			fn := flow.Callee(pass.Info, call)
 			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "math/rand" {
 				return true
 			}

@@ -54,6 +54,25 @@ func uncancellableLoop(ctx context.Context, e *Env, apps []string) (float64, err
 	return total, nil
 }
 
+// severedInLoop reaches a manufactured context before a severed call.
+// The severed call is reported; the loop that holds it is not reported
+// a second time, whichever call the loop's walk reaches first.
+func severedInLoop(ctx context.Context, e *Env, apps []string) (float64, error) {
+	var total float64
+	for _, app := range apps {
+		v, err := e.EvaluateCtx(context.Background(), app)
+		if err != nil {
+			return 0, err
+		}
+		w, err := e.Evaluate(app) // want `calls Evaluate without the context; use EvaluateCtx`
+		if err != nil {
+			return 0, err
+		}
+		total += v + w
+	}
+	return total, nil
+}
+
 // Negative cases.
 
 func threaded(ctx context.Context, e *Env, app string) (float64, error) {

@@ -28,8 +28,8 @@ import (
 // to that walk. So a method also counts as reached when it shares a
 // name with a method of any package-level interface type declared in
 // the module or in a package the module imports, however indirectly.
-// Findings are reported per package, so //rampvet:ignore and the
-// baseline work as for every other analyzer.
+// Findings are reported per package, so //rampvet:ignore works as for
+// every other analyzer.
 var Unreached = &Analyzer{
 	Name: "unreached",
 	Doc:  "flags functions and methods under internal/ that no command, example, perfbench or facade function reaches",
