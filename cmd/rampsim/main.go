@@ -26,7 +26,7 @@ func main() {
 		appName = flag.String("app", "MP3dec", "application (MPGdec MP3dec H263enc bzip2 gzip twolf art equake ammp)")
 		freqHz  = flag.Float64("freq", 4e9, "clock frequency in Hz (voltage follows the DVS curve)")
 		tqual   = flag.Float64("tqual", 400, "qualification temperature T_qual in K")
-		window  = flag.Int("window", 0, "instruction window size override (0 = base 128)")
+		window  = flag.Int("window", 0, "instruction window size override; registers and memory queue shrink with it as in the 18 adaptations (0 = base 128)")
 		alus    = flag.Int("alus", 0, "integer ALU count override (0 = base 6)")
 		fpus    = flag.Int("fpus", 0, "FPU count override (0 = base 4)")
 		warm    = flag.Uint64("warmup", 0, "warmup instructions (0 = default)")
@@ -61,18 +61,12 @@ func main() {
 	if err != nil {
 		rt.Fatal("unknown application", err)
 	}
-	proc := env.Base
-	if *window > 0 {
-		proc.WindowSize = *window
-	}
-	if *alus > 0 {
-		proc.IntALUs = *alus
-	}
-	if *fpus > 0 {
-		proc.FPUs = *fpus
-	}
+	proc := env.Base.WithArch(*window, *alus, *fpus)
 	if *freqHz > 0 {
 		proc = proc.WithOperatingPoint(*freqHz)
+	}
+	if err := proc.Validate(); err != nil {
+		rt.Fatal("invalid configuration", err)
 	}
 
 	r, err := env.Evaluate(app, proc, env.Qualification(*tqual))

@@ -180,6 +180,28 @@ func (p Proc) Validate() error {
 	return nil
 }
 
+// WithArch returns a copy of p with a microarchitectural adaptation
+// applied (Section 6.1): the instruction window size and the integer
+// ALU and FPU counts, where 0 keeps p's value. A resized window keeps
+// enough registers to rename it, with the base 1.5x cushion, and a
+// memory queue no longer than it; neither grows past p's. The name is
+// left to the caller.
+func (p Proc) WithArch(window, alus, fpus int) Proc {
+	if window != 0 {
+		p.WindowSize = window
+		p.IntRegs = min(p.IntRegs, window+window/2)
+		p.FPRegs = min(p.FPRegs, window+window/2)
+		p.MemQueueSize = min(p.MemQueueSize, window)
+	}
+	if alus != 0 {
+		p.IntALUs = alus
+	}
+	if fpus != 0 {
+		p.FPUs = fpus
+	}
+	return p
+}
+
 // WithOperatingPoint returns a copy of p running at the given frequency
 // with the voltage the DVS curve requires for it.
 func (p Proc) WithOperatingPoint(freqHz float64) Proc {
@@ -257,23 +279,7 @@ func ArchConfigs() []Proc {
 	var out []Proc
 	for _, w := range windows {
 		for _, fu := range fus {
-			p := base
-			p.WindowSize = w
-			p.IntALUs = fu.alus
-			p.FPUs = fu.fpus
-			// Keep enough registers to rename the whole window, with the
-			// base 1.5x cushion.
-			p.IntRegs = w + w/2
-			p.FPRegs = w + w/2
-			if p.IntRegs > base.IntRegs {
-				p.IntRegs = base.IntRegs
-			}
-			if p.FPRegs > base.FPRegs {
-				p.FPRegs = base.FPRegs
-			}
-			if p.MemQueueSize > w {
-				p.MemQueueSize = w
-			}
+			p := base.WithArch(w, fu.alus, fu.fpus)
 			p.Name = fmt.Sprintf("w%d-a%d-f%d", w, fu.alus, fu.fpus)
 			out = append(out, p)
 		}

@@ -162,6 +162,31 @@ func TestArchConfigsMatchPaper(t *testing.T) {
 	}
 }
 
+// TestWithArchMatchesArchConfigs holds the one derivation of an
+// adaptation: applied to the base, each configuration's window, ALUs
+// and FPUs reproduce its entry field for field, apart from Name, and
+// the register files and memory queue follow the window as listed.
+func TestWithArchMatchesArchConfigs(t *testing.T) {
+	base := Base()
+	if got := base.WithArch(0, 0, 0); got != base {
+		t.Fatalf("WithArch(0, 0, 0) = %+v, want the base unchanged", got)
+	}
+	// window: {registers per file, memory queue entries}
+	sizes := map[int][2]int{128: {192, 32}, 96: {144, 32}, 64: {96, 32}, 48: {72, 32}, 32: {48, 32}, 16: {24, 16}}
+	for _, c := range ArchConfigs() {
+		got := base.WithArch(c.WindowSize, c.IntALUs, c.FPUs)
+		got.Name = c.Name
+		if got != c {
+			t.Errorf("%s: WithArch = %+v, want %+v", c.Name, got, c)
+		}
+		want := sizes[c.WindowSize]
+		if got.IntRegs != want[0] || got.FPRegs != want[0] || got.MemQueueSize != want[1] {
+			t.Errorf("%s: registers %d/%d, memory queue %d; want %d/%d, %d",
+				c.Name, got.IntRegs, got.FPRegs, got.MemQueueSize, want[0], want[0], want[1])
+		}
+	}
+}
+
 func TestWithOperatingPoint(t *testing.T) {
 	p := Base().WithOperatingPoint(5e9)
 	if p.FreqHz != 5e9 {

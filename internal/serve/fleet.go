@@ -16,7 +16,10 @@ import (
 	"sync"
 	"time"
 
+	"ramp/internal/config"
+	"ramp/internal/core"
 	"ramp/internal/fleet"
+	"ramp/internal/trace"
 )
 
 // Fleet request bounds. The chip ceiling keeps a single request's
@@ -104,16 +107,25 @@ func (c *fleetCache) put(key string, r *FleetResponse) {
 	c.m[key] = r
 }
 
-// normalizeFleet validates req in place, fills defaults, and returns
-// the normalized evaluation request plus the fleet cache key.
-// Normalization is idempotent: normalizing an already-normalized
-// request is the identity, so the key is stable (FuzzFleetRequest).
-func (s *Server) normalizeFleet(req *FleetRequest) (EvaluateRequest, string, error) {
+// fleetJob is what a normalized fleet request resolves to: the
+// evaluation at its first T_qual and the fleet cache key.
+type fleetJob struct {
+	app  trace.Profile
+	proc config.Proc
+	qual core.Qualification
+	key  string
+}
+
+// normalizeFleet validates req in place, fills defaults, and resolves
+// it to a fleetJob. Normalization is idempotent: normalizing an
+// already-normalized request is the identity, so the key is stable
+// (FuzzFleetRequest).
+func (s *Server) normalizeFleet(req *FleetRequest) (fleetJob, error) {
 	if req.Chips == 0 {
 		req.Chips = fleetDefaultChips
 	}
 	if req.Chips < fleetMinChips || req.Chips > fleetMaxChips {
-		return EvaluateRequest{}, "", fmt.Errorf("chips %d outside [%d, %d]", req.Chips, fleetMinChips, fleetMaxChips)
+		return fleetJob{}, fmt.Errorf("chips %d outside [%d, %d]", req.Chips, fleetMinChips, fleetMaxChips)
 	}
 	if req.Seed == 0 {
 		req.Seed = 1
@@ -122,27 +134,27 @@ func (s *Server) normalizeFleet(req *FleetRequest) (EvaluateRequest, string, err
 		req.TqualsK = []float64{400}
 	}
 	if len(req.TqualsK) > fleetMaxTquals {
-		return EvaluateRequest{}, "", fmt.Errorf("tquals_k lists %d temperatures (max %d)", len(req.TqualsK), fleetMaxTquals)
+		return fleetJob{}, fmt.Errorf("tquals_k lists %d temperatures (max %d)", len(req.TqualsK), fleetMaxTquals)
 	}
 	for _, tq := range req.TqualsK {
 		if tq < 250 || tq > 500 {
-			return EvaluateRequest{}, "", fmt.Errorf("tquals_k %g outside the plausible qualification range [250, 500]", tq)
+			return fleetJob{}, fmt.Errorf("tquals_k %g outside the plausible qualification range [250, 500]", tq)
 		}
 	}
 	if req.Duty == 0 {
 		req.Duty = 1
 	}
 	if !(req.Duty > 0 && req.Duty <= 1) {
-		return EvaluateRequest{}, "", fmt.Errorf("duty %g outside (0, 1]", req.Duty)
+		return fleetJob{}, fmt.Errorf("duty %g outside (0, 1]", req.Duty)
 	}
 	if req.Spares < 0 || req.Spares > fleetMaxSpares {
-		return EvaluateRequest{}, "", fmt.Errorf("spares %d outside [0, %d]", req.Spares, fleetMaxSpares)
+		return fleetJob{}, fmt.Errorf("spares %d outside [0, %d]", req.Spares, fleetMaxSpares)
 	}
 	if req.HorizonYears == 0 {
 		req.HorizonYears = 30
 	}
 	if req.HorizonYears < 1 || req.HorizonYears > 100 {
-		return EvaluateRequest{}, "", fmt.Errorf("horizon_years %g outside [1, 100]", req.HorizonYears)
+		return fleetJob{}, fmt.Errorf("horizon_years %g outside [1, 100]", req.HorizonYears)
 	}
 
 	// The configuration half rides through the same normalization as
@@ -152,9 +164,9 @@ func (s *Server) normalizeFleet(req *FleetRequest) (EvaluateRequest, string, err
 		Window: req.Window, ALUs: req.ALUs, FPUs: req.FPUs,
 		TqualK: req.TqualsK[0],
 	}
-	_, proc, _, err := s.normalizeEvaluate(&ev)
+	app, proc, qual, err := s.normalizeEvaluate(&ev)
 	if err != nil {
-		return EvaluateRequest{}, "", err
+		return fleetJob{}, err
 	}
 
 	var sb strings.Builder
@@ -163,7 +175,7 @@ func (s *Server) normalizeFleet(req *FleetRequest) (EvaluateRequest, string, err
 	for _, tq := range req.TqualsK {
 		fmt.Fprintf(&sb, "%g,", tq)
 	}
-	return ev, sb.String(), nil
+	return fleetJob{app, proc, qual, sb.String()}, nil
 }
 
 // fleetScenarios derives the scenario list: nominal always, plus
@@ -190,19 +202,13 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ev, key, err := s.normalizeFleet(&req)
+	job, err := s.normalizeFleet(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if resp, ok := s.fleet.get(key); ok {
+	if resp, ok := s.fleet.get(job.key); ok {
 		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-
-	app, proc, _, err := s.normalizeEvaluate(&ev)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -216,7 +222,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 
 		// One simulation feeds every policy: the per-T_qual assessments
 		// are requalifications of the same evaluated result.
-		res, err := s.env.EvaluateCtx(ctx, app, proc, s.env.Qualification(req.TqualsK[0]))
+		res, err := s.env.EvaluateCtx(ctx, job.app, job.proc, job.qual)
 		if err != nil {
 			jobErr = err
 			return
@@ -249,7 +255,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 		}
 
 		resp = &FleetResponse{
-			App: app.Name, Proc: proc.Name,
+			App: job.app.Name, Proc: job.proc.Name,
 			Chips: req.Chips, Seed: req.Seed, HorizonYears: req.HorizonYears,
 		}
 		nscen := len(cfg.Scenarios)
@@ -271,6 +277,6 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 		s.writeJobError(w, err)
 		return
 	}
-	s.fleet.put(key, resp)
+	s.fleet.put(job.key, resp)
 	writeJSON(w, http.StatusOK, resp)
 }

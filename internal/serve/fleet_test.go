@@ -124,19 +124,19 @@ func FuzzFleetRequest(f *testing.F) {
 		if err := decodeRequest(r, &req); err != nil {
 			return
 		}
-		_, key1, err := s.normalizeFleet(&req)
+		job1, err := s.normalizeFleet(&req)
 		if err != nil {
 			return
 		}
-		if key1 == "" {
+		if job1.key == "" {
 			t.Fatal("accepted request produced an empty cache key")
 		}
-		_, key2, err := s.normalizeFleet(&req)
+		job2, err := s.normalizeFleet(&req)
 		if err != nil {
 			t.Fatalf("re-normalizing a normalized request failed: %v", err)
 		}
-		if key1 != key2 {
-			t.Fatalf("normalization not idempotent: %q vs %q", key1, key2)
+		if job1.key != job2.key {
+			t.Fatalf("normalization not idempotent: %q vs %q", job1.key, job2.key)
 		}
 	})
 }

@@ -132,19 +132,7 @@ func (s *Server) normalizeEvaluate(req *EvaluateRequest) (trace.Profile, config.
 	if err != nil {
 		return trace.Profile{}, config.Proc{}, core.Qualification{}, err
 	}
-	proc := s.env.Base
-	if req.Window != 0 {
-		proc.WindowSize = req.Window
-		proc.IntRegs = min(s.env.Base.IntRegs, req.Window+req.Window/2)
-		proc.FPRegs = min(s.env.Base.FPRegs, req.Window+req.Window/2)
-		proc.MemQueueSize = min(s.env.Base.MemQueueSize, req.Window)
-	}
-	if req.ALUs != 0 {
-		proc.IntALUs = req.ALUs
-	}
-	if req.FPUs != 0 {
-		proc.FPUs = req.FPUs
-	}
+	proc := s.env.Base.WithArch(req.Window, req.ALUs, req.FPUs)
 	if req.FreqHz != 0 {
 		if req.FreqHz < config.MinFreqHz || req.FreqHz > config.MaxFreqHz {
 			return trace.Profile{}, config.Proc{}, core.Qualification{},
