@@ -172,13 +172,17 @@ func (c *Controller) Run(app trace.Profile, epochs int) (ControlTrace, error) {
 				OnFraction: 1,
 			}
 		}
-		epochFIT, err := c.intervalFIT(iv)
+		// One evaluation of the rate models feeds both the epoch's own
+		// FIT and the run's cumulative engine.
+		o, err := engine.Record(iv)
 		if err != nil {
 			return ControlTrace{}, err
 		}
-		if err := engine.Observe(iv); err != nil {
+		epochFIT, err := c.intervalFIT(&o)
+		if err != nil {
 			return ControlTrace{}, err
 		}
+		engine.Fold(&o)
 		cum, err := engine.Assess()
 		if err != nil {
 			return ControlTrace{}, err
@@ -234,11 +238,11 @@ func (c *Controller) Run(app trace.Profile, epochs int) (ControlTrace, error) {
 	return tr, nil
 }
 
-// intervalFIT computes the FIT value this one interval would have if
-// sustained forever (the instantaneous control signal). The scratch
+// intervalFIT computes the FIT value one recorded interval would have
+// if sustained forever (the instantaneous control signal). The scratch
 // engine is built once and reset per call, so the per-epoch control
 // path allocates nothing here.
-func (c *Controller) intervalFIT(iv core.Interval) (float64, error) {
+func (c *Controller) intervalFIT(o *core.Observation) (float64, error) {
 	e := c.scratch
 	if e == nil {
 		var err error
@@ -250,9 +254,7 @@ func (c *Controller) intervalFIT(iv core.Interval) (float64, error) {
 	} else {
 		e.Reset()
 	}
-	if err := e.Observe(iv); err != nil {
-		return 0, err
-	}
+	e.Fold(o)
 	a, err := e.Assess()
 	if err != nil {
 		return 0, err
