@@ -93,10 +93,6 @@ func (b *BPred) Ret(target uint64) bool {
 	return true
 }
 
-// Flush clears the RAS (e.g. on a pipeline flush); the bimodal table is
-// history and survives.
-func (b *BPred) Flush() { b.rasTop = 0 }
-
 // Lookups returns the number of predictor accesses.
 func (b *BPred) Lookups() uint64 { return b.lookups }
 

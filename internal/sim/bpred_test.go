@@ -74,15 +74,6 @@ func TestRASOverflowWraps(t *testing.T) {
 	}
 }
 
-func TestRASFlush(t *testing.T) {
-	b := NewBPred(2048, 8)
-	b.Call(7)
-	b.Flush()
-	if b.Ret(7) {
-		t.Fatal("flushed RAS should mispredict")
-	}
-}
-
 func TestBPredStats(t *testing.T) {
 	b := NewBPred(2048, 4)
 	if b.Lookups() != 0 || b.Mispredicts() != 0 {
