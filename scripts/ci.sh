@@ -1,17 +1,17 @@
 #!/usr/bin/env bash
 # ci.sh — the repo's single verification entry point.
 #
-# Runs the same lanes as .github/workflows/ci.yml: formatting, vet,
-# build, the full test suite (including the golden snapshot compare),
-# the rampdebug invariant lane, the race lane (with -short so it stays
-# fast), short fuzz bursts on the trace generator and the cache key, the
-# end-to-end smoke script, and the rampvet domain linter (default tags
-# and rampdebug). Every lane
-# runs even if an earlier one fails; the exit status is the number of
-# failed lanes. The obscheck lane exercises the observability layer
-# (-trace/-stats on a real run, trace validation, obsguard). The
-# perfbench lane vets and tests the benchmark harness, a module of its
-# own that `./...` does not reach.
+# The test job of .github/workflows/ci.yml runs this script: formatting,
+# vet, build, the full test suite (including the golden snapshot
+# compare), the rampdebug invariant lane, the race lane (with -short so
+# it stays fast), short fuzz bursts on the trace generator, the cache
+# key, the variation sampler and the fleet request, the end-to-end smoke
+# script, the load check, and the rampvet domain linter (default tags
+# and rampdebug). Every lane runs even if an earlier one fails; the exit
+# status is the number of failed lanes. The obscheck lane exercises the
+# observability layer (-trace/-stats on a real run, trace validation,
+# obsguard). The perfbench lane vets and tests the benchmark harness, a
+# module of its own that `./...` does not reach.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -61,14 +61,12 @@ lane "fuzz fleetreq" go test -fuzz FuzzFleetRequest -fuzztime 5s -run '^$' ./int
 lane "smoke" ./scripts/smoke.sh
 lane "obscheck" ./scripts/obscheck.sh
 lane "loadcheck" ./scripts/loadcheck.sh
-# The domain linter runs against the committed baseline: grandfathered
-# findings pass, anything fresh fails the lane. Regenerate the file with
-# `go run ./cmd/rampvet -write-baseline ./...` only when grandfathering
-# is the deliberate choice; the default fix is the code.
-lane "rampvet" go run ./cmd/rampvet -baseline .rampvet-baseline ./...
+# The domain linter fails the lane on any finding; a deliberate
+# exception carries `//rampvet:ignore <analyzer> -- reason` in the code.
+lane "rampvet" go run ./cmd/rampvet ./...
 # The rampdebug tree: internal/check's debug files, and whatever only
 # the debug build reaches, are analyzed only under the tag.
-lane "rampvet -tags rampdebug" go run ./cmd/rampvet -tags rampdebug -baseline .rampvet-baseline ./...
+lane "rampvet -tags rampdebug" go run ./cmd/rampvet -tags rampdebug ./...
 
 if [ "${failures}" -ne 0 ]; then
 	echo "${failures} lane(s) failed" >&2
