@@ -206,6 +206,36 @@ func BenchmarkSimulator(b *testing.B) {
 	b.ReportMetric(10_000, "instrs/op")
 }
 
+// BenchmarkSimulatorApps measures simulation speed per application and
+// machine: two apps with few issue candidates waiting on an unissued
+// producer (MPGdec, MP3dec) and two with many (bzip2, twolf), each on the
+// largest and the smallest adaptation. An op resets one core onto a fresh
+// trace and runs 100k instructions; ns/instr is the figure to compare.
+func BenchmarkSimulatorApps(b *testing.B) {
+	const n = 100_000
+	for _, app := range []ramp.Profile{trace.MPGdec(), trace.MP3dec(), trace.Bzip2(), trace.Twolf()} {
+		for _, proc := range ramp.ArchConfigs() {
+			if proc.Name != "w128-a6-f4" && proc.Name != "w16-a2-f1" {
+				continue
+			}
+			b.Run(app.Name+"/"+proc.Name, func(b *testing.B) {
+				var core ramp.Core
+				for i := 0; i < b.N; i++ {
+					gen, err := ramp.NewGenerator(app, 1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := core.Reset(proc, gen); err != nil {
+						b.Fatal(err)
+					}
+					core.Run(n)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/instr")
+			})
+		}
+	}
+}
+
 // BenchmarkTraceGeneration measures the synthetic workload generator.
 func BenchmarkTraceGeneration(b *testing.B) {
 	gen, err := ramp.NewGenerator(trace.MPGdec(), 1)

@@ -24,6 +24,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"ramp/internal/config"
 	"ramp/internal/floorplan"
@@ -34,7 +35,10 @@ import (
 const farFuture = math.MaxUint64 / 2
 
 // histLen is the length of the completion-time history; seq%histLen
-// indexes it.
+// indexes it. The history holds one more slot, hist[histLen], which
+// nothing writes after Reset clears it: it is the producer slot of an
+// operand with no register dependence, so that operand always reads 0,
+// "already finished".
 const histLen = 2048
 
 // Result summarises one simulated run (or epoch).
@@ -62,12 +66,15 @@ type Result struct {
 	FPShare         float64 // fraction of retired instructions that are FP
 }
 
+// entry is one instruction-window slot: what issue, memory and retire
+// read of the instruction, 32 bytes.
 type entry struct {
-	instr  trace.Instr
+	addr   uint64 // effective address of a load or store
 	seq    uint64
-	dep1   uint64 // absolute producer seq; 0 = none
-	dep2   uint64
 	finish uint64 // cycle the result is available; farFuture until issued
+	h1, h2 uint16 // history slots of the producers; histLen = none
+	op     trace.Op
+	wait   uint8 // operands parked on a waiter list (see Core.cand)
 }
 
 // storeRef is one in-window store in the store ring: its sequence
@@ -144,10 +151,20 @@ type Core struct {
 	winCount int
 	memQUsed int
 
-	// pending holds the window slots of the unissued entries, oldest
-	// first. Dispatch appends to it; issue walks it and compacts it in
-	// place, so a cycle costs the unissued entries, not the window.
-	pending []int
+	// cand is a bitmap over window slots holding the issue candidates:
+	// the unissued entries none of whose operands is parked. Dispatch
+	// parks each operand whose history slot reads farFuture on that
+	// slot's waiter list (wHead[h] holds the list's first node + 1, 0 =
+	// empty; node 2*slot+k is operand k of the entry in slot, and
+	// wNext[node] links to the next node + 1) and sets the entry's bit
+	// when none is parked. issueOne, the only writer of a finite history
+	// value, empties the list of the slot it writes and sets the bit of
+	// each waiter left with no parked operand (wake). An entry outside
+	// cand therefore always reads farFuture on a parked operand, so issue
+	// and skipIdle need visit only cand.
+	cand  []uint64
+	wHead [histLen]int32
+	wNext []int32
 
 	// Store ring: the in-window stores, oldest first. Dispatch pushes,
 	// retire pops, and store-to-load forwarding scans only these.
@@ -157,7 +174,7 @@ type Core struct {
 
 	// Completion-time history, indexed by seq. Large enough to cover any
 	// dependency distance plus the window.
-	hist [histLen]uint64
+	hist [histLen + 1]uint64
 
 	// Functional-unit non-pipelined busy tracking.
 	intBusyUntil []uint64
@@ -199,8 +216,9 @@ func New(cfg config.Proc, gen Source) (*Core, error) {
 // Reset reinitialises the core in place for a (possibly different)
 // configuration and trace source, producing a core whose subsequent
 // behaviour is bit-identical to a freshly constructed one. Buffers are
-// reused whenever they are large enough (the instruction window, pending
-// list, store ring and fetch ring) or their shape is unchanged (the
+// reused whenever they are large enough (the instruction window, its
+// candidate bitmap and waiter links, the store ring and the fetch ring)
+// or their shape is unchanged (the
 // functional-unit trackers, caches, MSHR files and branch predictor), so
 // they keep their allocations across evaluations of different
 // applications and configurations and pooled cores make steady-state
@@ -225,12 +243,15 @@ func (c *Core) Reset(cfg config.Proc, gen Source) error {
 	c.retiredTotal = 0
 	c.c = counters{}
 	clear(c.hist[:]) // everything "already finished" before the run
+	clear(c.wHead[:])
 
 	c.fetchQCap = cfg.FetchWidth * (cfg.FrontLatency + 2)
 	c.fq = resize(c.fq, c.fetchQCap)
 	c.fqHead, c.fqLen = 0, 0
 	c.win = resize(c.win, cfg.WindowSize)
-	c.pending = resize(c.pending, cfg.WindowSize)[:0]
+	c.cand = resize(c.cand, (cfg.WindowSize+63)/64)
+	clear(c.cand)
+	c.wNext = resize(c.wNext, 2*cfg.WindowSize)
 	c.stores = resize(c.stores, cfg.WindowSize)
 	c.stHead, c.stCount = 0, 0
 
@@ -354,8 +375,8 @@ func (c *Core) step() {
 // skipIdle fast-forwards the clock over cycles in which no stage can act.
 // It runs after a cycle that changed no state. With the state frozen, a
 // stage's decisions depend on the clock only through comparisons against
-// the cycles gathered below: the head's finish (retire), the pending
-// entries' operand-ready cycles, the functional units' busy-until cycles
+// the cycles gathered below: the head's finish (retire), the issue
+// candidates' operand-ready cycles, the functional units' busy-until cycles
 // and the L1D MSHR fills (issue), the fetch-queue head's arrival
 // (dispatch), and the fetch stall and blocking branch's finish (fetch).
 // Every cycle before the earliest of them would repeat the idle cycle
@@ -366,8 +387,10 @@ func (c *Core) step() {
 // load finds the file full. Pruning is idempotent and every outstanding
 // fill bounds the jump, so no fill completes inside a skipped span and
 // the next executed cycle prunes exactly what the skipped ones would
-// have. When nothing is pending at all the core is deadlocked; it then
-// steps normally, so Run's forward-progress guard still fires.
+// have. An entry outside the candidates reads farFuture on a parked
+// operand, which bounds nothing. When no event is left at all the core
+// is deadlocked; it then steps normally, so Run's forward-progress guard
+// still fires.
 //
 //ramp:hot
 func (c *Core) skipIdle() {
@@ -376,8 +399,11 @@ func (c *Core) skipIdle() {
 	if c.winCount > 0 {
 		next = earliest(now, c.win[c.winHead].finish, next)
 	}
-	for _, slot := range c.pending {
-		next = earliest(now, c.readyAt(&c.win[slot]), next)
+	for wi, w := range c.cand {
+		for ; w != 0; w &= w - 1 {
+			e := &c.win[wi<<6|bits.TrailingZeros64(w)]
+			next = earliest(now, max(c.hist[e.h1], c.hist[e.h2]), next)
+		}
 	}
 	for _, b := range c.intBusyUntil {
 		next = earliest(now, b, next)
@@ -420,18 +446,22 @@ func (c *Core) retire() {
 		if e.finish > c.cycle { // unissued entries finish at farFuture
 			return
 		}
-		if e.instr.Op.IsMem() {
+		if e.op.IsMem() {
 			c.memQUsed--
 		}
-		if e.instr.Op == trace.Store {
-			c.stHead = (c.stHead + 1) % len(c.stores)
+		if e.op == trace.Store {
+			if c.stHead++; c.stHead == len(c.stores) {
+				c.stHead = 0
+			}
 			c.stCount--
 		}
-		if e.instr.Op.IsFP() {
+		if e.op.IsFP() {
 			c.c.fpRetired++
 		}
 		c.c.winRetire++
-		c.winHead = (c.winHead + 1) % len(c.win)
+		if c.winHead++; c.winHead == len(c.win) {
+			c.winHead = 0
+		}
 		c.winCount--
 		c.retiredTotal++
 	}
@@ -444,9 +474,26 @@ type issueSlots struct {
 	intALU, fpu, agu, dPorts int
 }
 
-// issue walks the pending list oldest first, issuing every entry whose
-// operands are ready and whose resources are free, and compacts the
-// entries left behind in place.
+// free reports whether a unit of op's class is still free: an address
+// unit and an L1D port for a load or store, an FPU for an FP op, and an
+// integer ALU for the rest.
+func (s *issueSlots) free(op trace.Op) bool {
+	switch {
+	case op.IsMem():
+		return s.agu > 0 && s.dPorts > 0
+	case op.IsFP():
+		return s.fpu > 0
+	}
+	return s.intALU > 0
+}
+
+// issue visits the candidates oldest first, from the window head round
+// to the slot before it, and issues every entry whose operands are ready
+// and whose resources are free, in the order a walk of every unissued
+// entry would. An entry woken by an issue in the same cycle can be ready
+// in it only when that issue's latency is zero; the walk then re-reads
+// the current word (later words are read when it reaches them), so it
+// visits that entry too.
 //
 //ramp:hot
 func (c *Core) issue() {
@@ -456,51 +503,49 @@ func (c *Core) issue() {
 		agu:    c.cfg.AGUs,
 		dPorts: c.cfg.L1D.Ports,
 	}
-	p := c.pending
-	kept := 0
-	for i, slot := range p {
-		if s.intALU == 0 && s.fpu == 0 && (s.agu == 0 || s.dPorts == 0) {
-			kept += copy(p[kept:], p[i:])
-			break
+	head := c.winHead & 63
+	wi := c.winHead >> 6
+	mask := ^uint64(0) << head // the head's word, from the head up
+	for k := 0; k <= len(c.cand); k++ {
+		if k == len(c.cand) {
+			mask = 1<<head - 1 // back in the head's word, below the head
 		}
-		e := &c.win[slot]
-		if c.readyAt(e) > c.cycle || !c.issueOne(e, &s) {
-			p[kept] = slot
-			kept++
+		for w := c.cand[wi] & mask; w != 0; {
+			if s.intALU == 0 && s.fpu == 0 && (s.agu == 0 || s.dPorts == 0) {
+				return
+			}
+			b := bits.TrailingZeros64(w)
+			w &= w - 1
+			e := &c.win[wi<<6|b]
+			if max(c.hist[e.h1], c.hist[e.h2]) <= c.cycle && s.free(e.op) && c.issueOne(e, &s) {
+				c.cand[wi] &^= 1 << b
+				if e.finish <= c.cycle {
+					w = c.cand[wi] & mask & (^uint64(0) << b)
+				}
+			}
 		}
+		if wi++; wi == len(c.cand) {
+			wi = 0
+		}
+		mask = ^uint64(0)
 	}
-	c.pending = p[:kept]
 }
 
-// readyAt returns the cycle e's operands are available: the later of its
-// producers' finish cycles (farFuture while one is unissued), or 0 when
-// it has none.
-//
-//ramp:hot
-func (c *Core) readyAt(e *entry) uint64 {
-	var t uint64
-	if e.dep1 != 0 {
-		t = c.hist[e.dep1%histLen]
-	}
-	if e.dep2 != 0 {
-		t = max(t, c.hist[e.dep2%histLen])
-	}
-	return t
-}
-
-// issueOne issues the operand-ready entry e if a unit of its class is
-// free, taking the unit from s, and reports whether it did.
+// issueOne issues the operand-ready entry e, whose class has a free
+// unit in s (issueSlots.free), takes the unit and completes e: it
+// records e's finish cycle in the window and the history and wakes the
+// operands parked on e's history slot. It reports false, and changes
+// nothing but the MSHR file's completed fills, when a load misses with
+// every L1D MSHR busy.
 //
 //ramp:hot
 func (c *Core) issueOne(e *entry, s *issueSlots) bool {
-	op := e.instr.Op
+	op := e.op
+	var lat uint64
 	switch {
-	case op == trace.Load || op == trace.Store:
-		if s.agu == 0 || s.dPorts == 0 {
-			return false
-		}
-		lat, ok := c.memLatency(e)
-		if !ok {
+	case op.IsMem():
+		var ok bool
+		if lat, ok = c.memLatency(e); !ok {
 			return false // MSHRs full; retry next cycle
 		}
 		s.agu--
@@ -509,32 +554,24 @@ func (c *Core) issueOne(e *entry, s *issueSlots) bool {
 		c.c.lsqOps++
 		c.c.l1dAccesses++
 		c.c.intRFReads += 2
-		c.complete(e, c.cycle+lat)
 		if op == trace.Load {
 			c.c.intRFWrites++
 		}
 	case op.IsFP():
-		if s.fpu == 0 {
-			return false
-		}
 		s.fpu--
 		c.c.fpOps++
 		c.c.fpRFReads += 2
 		c.c.fpRFWrites++
-		lat := uint64(c.cfg.FPLat)
+		lat = uint64(c.cfg.FPLat)
 		if op == trace.FPDiv {
 			lat = uint64(c.cfg.FPDivLat)
 			c.occupyUnit(c.fpBusyUntil, c.cycle+lat)
 		}
-		c.complete(e, c.cycle+lat)
 	default: // integer ALU ops and branches
-		if s.intALU == 0 {
-			return false
-		}
 		s.intALU--
 		c.c.intOps++
 		c.c.intRFReads += 2
-		lat := uint64(c.cfg.IntAddLat)
+		lat = uint64(c.cfg.IntAddLat)
 		switch op {
 		case trace.IntMul:
 			lat = uint64(c.cfg.IntMulLat)
@@ -545,15 +582,30 @@ func (c *Core) issueOne(e *entry, s *issueSlots) bool {
 		if !op.IsBranch() {
 			c.c.intRFWrites++
 		}
-		c.complete(e, c.cycle+lat)
 	}
+	// Complete: publish the result cycle and wake e's consumers. This
+	// stays inline here, on the one path that issues an instruction.
+	e.finish = c.cycle + lat
+	h := e.seq % histLen
+	c.hist[h] = e.finish
+	if c.wHead[h] != 0 {
+		c.wake(h)
+	}
+	c.c.winIssue++
 	return true
 }
 
-func (c *Core) complete(e *entry, finish uint64) {
-	e.finish = finish
-	c.hist[e.seq%histLen] = finish
-	c.c.winIssue++
+// wake empties history slot h's waiter list and makes a candidate of
+// each waiter left with no parked operand.
+func (c *Core) wake(h uint64) {
+	for n := c.wHead[h]; n != 0; n = c.wNext[n-1] {
+		slot := (n - 1) >> 1
+		w := &c.win[slot]
+		if w.wait--; w.wait == 0 {
+			c.cand[slot>>6] |= 1 << (slot & 63)
+		}
+	}
+	c.wHead[h] = 0
 }
 
 func (c *Core) freeUnits(busy []uint64) int {
@@ -578,9 +630,9 @@ func (c *Core) occupyUnit(busy []uint64, until uint64) {
 // memLatency returns the completion latency for a memory op, or ok=false
 // if it cannot start this cycle (MSHRs exhausted).
 func (c *Core) memLatency(e *entry) (uint64, bool) {
-	addr := e.instr.Addr
+	addr := e.addr
 	hitLat := uint64(c.cfg.L1D.HitLatencyCycles)
-	if e.instr.Op == trace.Store {
+	if e.op == trace.Store {
 		// Stores drain through a store buffer: they update cache state and
 		// complete quickly without holding an MSHR. This keeps them off
 		// the critical path, as in the paper's base machine.
@@ -627,7 +679,7 @@ func (c *Core) memLatency(e *entry) (uint64, bool) {
 //
 //ramp:hot
 func (c *Core) forwardFromStore(load *entry) bool {
-	word := load.instr.Addr &^ 7
+	word := load.addr &^ 7
 	for k, i := 0, c.stHead; k < c.stCount; k++ {
 		st := &c.stores[i]
 		if st.seq >= load.seq {
@@ -658,32 +710,59 @@ func (c *Core) dispatch() {
 		if f.instr.Op.IsMem() && c.memQUsed >= c.cfg.MemQueueSize {
 			return
 		}
-		idx := (c.winHead + c.winCount) % len(c.win)
-		e := &c.win[idx]
-		*e = entry{instr: f.instr, seq: f.seq, finish: farFuture}
-		if d := f.instr.Dep1; d > 0 && uint64(d) < e.seq {
-			e.dep1 = e.seq - uint64(d)
+		idx := c.winHead + c.winCount
+		if idx >= len(c.win) {
+			idx -= len(c.win)
 		}
-		if d := f.instr.Dep2; d > 0 && uint64(d) < e.seq {
-			e.dep2 = e.seq - uint64(d)
+		in := &f.instr
+		h1, h2 := uint16(histLen), uint16(histLen)
+		if d := in.Dep1; d > 0 && uint64(d) < f.seq {
+			h1 = uint16((f.seq - uint64(d)) % histLen)
 		}
-		c.hist[e.seq%histLen] = farFuture
+		if d := in.Dep2; d > 0 && uint64(d) < f.seq {
+			h2 = uint16((f.seq - uint64(d)) % histLen)
+		}
+		// Mark the instruction's own slot in flight before reading its
+		// operands', so an operand aliasing it parks and never wakes.
+		c.hist[f.seq%histLen] = farFuture
+		var wait uint8
+		if c.hist[h1] == farFuture {
+			c.park(h1, 2*idx)
+			wait++
+		}
+		if c.hist[h2] == farFuture {
+			c.park(h2, 2*idx+1)
+			wait++
+		}
+		c.win[idx] = entry{addr: in.Addr, seq: f.seq, finish: farFuture, h1: h1, h2: h2, op: in.Op, wait: wait}
+		if wait == 0 {
+			c.cand[idx>>6] |= 1 << (idx & 63)
+		}
 		c.winCount++
-		n := len(c.pending)
-		c.pending = c.pending[:n+1]
-		c.pending[n] = idx
-		if f.instr.Op.IsMem() {
+		if in.Op.IsMem() {
 			c.memQUsed++
 			c.c.lsqOps++
 		}
-		if f.instr.Op == trace.Store {
-			c.stores[(c.stHead+c.stCount)%len(c.stores)] = storeRef{seq: e.seq, word: f.instr.Addr &^ 7}
+		if in.Op == trace.Store {
+			st := c.stHead + c.stCount
+			if st >= len(c.stores) {
+				st -= len(c.stores)
+			}
+			c.stores[st] = storeRef{seq: f.seq, word: in.Addr &^ 7}
 			c.stCount++
 		}
 		c.c.winDispatch++
-		c.fqHead = (c.fqHead + 1) % len(c.fq)
+		if c.fqHead++; c.fqHead == len(c.fq) {
+			c.fqHead = 0
+		}
 		c.fqLen--
 	}
+}
+
+// park adds waiter node to history slot h's list.
+func (c *Core) park(h uint16, node int) {
+	c.wNext[node] = c.wHead[h]
+	c.wHead[h] = int32(node + 1)
 }
 
 // ---- Fetch ----
@@ -713,7 +792,11 @@ func (c *Core) fetch() {
 		if c.fqLen >= c.fetchQCap {
 			return
 		}
-		slot := &c.fq[(c.fqHead+c.fqLen)%len(c.fq)]
+		tail := c.fqHead + c.fqLen
+		if tail >= len(c.fq) {
+			tail -= len(c.fq)
+		}
+		slot := &c.fq[tail]
 		in := &slot.instr
 		c.gen.Next(in)
 		c.seq++

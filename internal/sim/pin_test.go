@@ -314,18 +314,18 @@ func TestEdgeForwardFromHeadStore(t *testing.T) {
 			waiting = waiting[:0]
 			for k := 0; k < c.winCount; k++ {
 				idx := (c.winHead + k) % len(c.win)
-				if e := &c.win[idx]; e.instr.Op == trace.Load && e.finish == farFuture {
+				if e := &c.win[idx]; e.op == trace.Load && e.finish == farFuture {
 					waiting = append(waiting, idx)
 				}
 			}
 		}()
-		if c.winCount == 0 || c.win[c.winHead].instr.Op != trace.Store {
+		if c.winCount == 0 || c.win[c.winHead].op != trace.Store {
 			return false
 		}
 		head := &c.win[c.winHead]
 		for _, idx := range waiting {
 			e := &c.win[idx]
-			if e.finish != farFuture && e.seq > head.seq && e.instr.Addr&^7 == head.instr.Addr&^7 &&
+			if e.finish != farFuture && e.seq > head.seq && e.addr&^7 == head.addr&^7 &&
 				e.finish == c.cycle-1+hitLat {
 				return true
 			}

@@ -80,9 +80,9 @@ func smallWindow() config.Proc {
 // TestCoreRunSteadyStateZeroAlloc is the allocation budget for the inner
 // simulation loop: once warmed, Run must not allocate at all. This holds
 // the line on the fetch-path escape the ring-buffer fetch queue removed,
-// and on the pending list and store ring, which Reset sizes for the
-// window so Run never grows them — including after a Reset to a
-// different window size.
+// and on the candidate bitmap, waiter links and store ring, which Reset
+// sizes for the window so Run never grows them — including after a
+// Reset to a different window size.
 func TestCoreRunSteadyStateZeroAlloc(t *testing.T) {
 	c := mustNew(config.Base(), newScript([]trace.Instr{{Op: trace.IntAlu}}))
 	for _, cfg := range []config.Proc{config.Base(), smallWindow(), config.Base()} {
