@@ -214,20 +214,23 @@ func ctxSibling(fn *types.Func) *types.Func {
 }
 
 // loopHasCancellation reports whether the loop contains a
-// cancellation point: a reference to a live context *variable*
+// cancellation point: a select statement anywhere under the loop
+// statement, function literals included (it waits on channels the
+// parent controls), or a reference to a live context *variable*
 // (ctx.Err(), ctx.Done(), passing ctx onward, an *http.Request in
-// hand) or a select statement (which waits on channels the parent
-// controls). A context.Context-typed call result is deliberately not
+// hand). A context.Context-typed call result is deliberately not
 // enough — `EvaluateCtx(context.Background(), …)` manufactures a
 // context precisely to sever cancellation, and must not count.
 func loopHasCancellation(pass *Pass, loop *flow.Loop) bool {
-	return loop.Contains(func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectStmt:
-			return true
-		case *ast.Ident:
-			return isCtxCarrier(pass.TypeOf(n))
+	sel := false
+	ast.Inspect(loop.Stmt, func(n ast.Node) bool {
+		if _, ok := n.(*ast.SelectStmt); ok {
+			sel = true
 		}
-		return false
+		return !sel
+	})
+	return sel || loop.Contains(func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		return ok && isCtxCarrier(pass.TypeOf(id))
 	})
 }

@@ -79,7 +79,7 @@ func checkGoStmt(pass *Pass, g *flow.Graph, gs *ast.GoStmt) {
 		}
 		cancellable := loop.Contains(func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.SelectStmt, *ast.SendStmt, *ast.ReturnStmt:
+			case *ast.SendStmt, *ast.ReturnStmt:
 				return true
 			case *ast.UnaryExpr:
 				return n.Op.String() == "<-"

@@ -91,6 +91,51 @@ func cancellableLoop(ctx context.Context, e *Env, apps []string) (float64, error
 	return total, nil
 }
 
+// selectInLoop checks stop in a select on every iteration: the select
+// is the loop's cancellation point, so the manufactured context inside
+// it is not reported.
+func selectInLoop(ctx context.Context, e *Env, apps []string, stop <-chan struct{}) (float64, error) {
+	var total float64
+	for _, app := range apps {
+		select {
+		case <-stop:
+			return total, nil
+		default:
+		}
+		v, err := e.EvaluateCtx(context.Background(), app)
+		if err != nil {
+			return 0, err
+		}
+		total += v
+	}
+	return total, nil
+}
+
+// wrappedSelectInLoop is selectInLoop with the select inside a
+// function literal called in the loop: still a cancellation point.
+func wrappedSelectInLoop(ctx context.Context, e *Env, apps []string, stop <-chan struct{}) (float64, error) {
+	var total float64
+	for _, app := range apps {
+		stopped := false
+		func() {
+			select {
+			case <-stop:
+				stopped = true
+			default:
+			}
+		}()
+		if stopped {
+			return total, nil
+		}
+		v, err := e.EvaluateCtx(context.Background(), app)
+		if err != nil {
+			return 0, err
+		}
+		total += v
+	}
+	return total, nil
+}
+
 func noCtxParam(e *Env, app string) (float64, error) {
 	return e.Evaluate(app) // nothing to propagate: ok
 }
