@@ -16,6 +16,7 @@ import (
 	"os"
 	"strings"
 
+	"ramp/internal/config"
 	"ramp/internal/exp"
 	"ramp/internal/figures"
 	"ramp/internal/obs"
@@ -29,7 +30,7 @@ func main() {
 		appList = flag.String("apps", "", "comma-separated application subset for figure 2 (default: all nine)")
 		appName = flag.String("app", "bzip2", "application for figure 3")
 		quick   = flag.Bool("quick", false, "use short simulation runs")
-		step    = flag.Float64("step", 0.125e9, "DVS frequency grid step in Hz")
+		step    = flag.Float64("step", config.DefaultFreqStepHz, "DVS frequency grid step in Hz")
 	)
 	prof := profiling.AddFlags(flag.CommandLine)
 	obsFlags := obs.AddFlags(flag.CommandLine)

@@ -7,7 +7,8 @@
 //	rampload -url http://127.0.0.1:8080 -n 100000 -profile constant:5000
 //	rampload -profile 'spike:2000,20000@5s+3s' -ndjson run.ndjson
 //	rampload -plan -seed 7 -n 1000            # deterministic dry render
-//	rampload -slo objectives.json -out LOAD_1.json
+//	rampload -slo objectives.json -out LOAD_2.json
+//	rampload -profile constant:1000000 -workers 4   # saturation probe
 //
 // Exit codes: 0 success, 1 usage or runtime error, 2 client/server
 // count reconciliation mismatch, 3 SLO breach.
@@ -35,21 +36,19 @@ func main() {
 
 func run() int {
 	var (
-		url      = flag.String("url", "http://127.0.0.1:8080", "rampserve base URL")
-		n        = flag.Int("n", 10000, "total arrivals to schedule")
-		profile  = flag.String("profile", "constant:2000", "arrival profile: constant:R | poisson:R | step:R1,R2@T | spike:R1,R2@T+D")
-		mixFlag  = flag.String("mix", "evaluate=8,sweep=1,fleet=1", "route mix weights")
-		seed     = flag.Int64("seed", 1, "schedule + sampler seed")
-		inflight = flag.Int("inflight", 256, "open-loop in-flight budget (arrivals beyond it are dropped)")
-		closed   = flag.Bool("closed", false, "closed-loop mode: -workers goroutines back to back (saturation probing)")
-		workers  = flag.Int("workers", 32, "closed-loop concurrency")
-		timeout  = flag.Duration("timeout", 60*time.Second, "per-request client timeout")
-		window   = flag.Duration("window", time.Second, "telemetry window length (<0 disables windows)")
-		ndjson   = flag.String("ndjson", "", "write per-window NDJSON frames to this file (- for stdout)")
-		out      = flag.String("out", "", "write the full run report (LOAD_<n>.json shape) to this file")
-		sloPath  = flag.String("slo", "", "gate on this JSON objectives file (exit 3 on breach)")
-		sloDef   = flag.Bool("slo-default", false, "gate on the built-in objectives (p99≤2s, shed≤5%, errors≤1%)")
-		plan     = flag.Bool("plan", false, "print the deterministic run plan and exit (no server needed)")
+		url     = flag.String("url", "http://127.0.0.1:8080", "rampserve base URL")
+		n       = flag.Int("n", 10000, "total arrivals to schedule")
+		profile = flag.String("profile", "constant:2000", "arrival profile: constant:R | poisson:R | step:R1,R2@T | spike:R1,R2@T+D")
+		mixFlag = flag.String("mix", "evaluate=8,sweep=1,fleet=1", "route mix weights")
+		seed    = flag.Int64("seed", 1, "schedule + sampler seed")
+		workers = flag.Int("workers", 32, "senders and connections: the most requests outstanding at once")
+		timeout = flag.Duration("timeout", 60*time.Second, "per-request client timeout")
+		window  = flag.Duration("window", time.Second, "telemetry window length (<0 disables windows)")
+		ndjson  = flag.String("ndjson", "", "write per-window NDJSON frames to this file (- for stdout)")
+		out     = flag.String("out", "", "write the full run report (LOAD_<n>.json shape) to this file")
+		sloPath = flag.String("slo", "", "gate on this JSON objectives file (exit 3 on breach)")
+		sloDef  = flag.Bool("slo-default", false, "gate on the built-in objectives (p99≤2s, shed≤5%, errors≤1%)")
+		plan    = flag.Bool("plan", false, "print the deterministic run plan and exit (no server needed)")
 	)
 	obsFlags := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -112,8 +111,6 @@ func run() int {
 		Requests:    *n,
 		Profile:     prof,
 		Mix:         mix,
-		MaxInflight: *inflight,
-		Closed:      *closed,
 		Workers:     *workers,
 		Timeout:     *timeout,
 		WindowEvery: *window,

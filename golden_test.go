@@ -149,7 +149,7 @@ func TestGolden(t *testing.T) {
 }
 
 // TestGoldenDeterministic renders each snapshot twice in-process and
-// requires byte-identical output: parallel EvaluateAll, cache order and
+// requires byte-identical output: parallel EvaluateAllCtx, cache order and
 // float formatting must not introduce run-to-run jitter, otherwise the
 // byte-compare above would flake.
 func TestGoldenDeterministic(t *testing.T) {

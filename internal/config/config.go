@@ -252,12 +252,17 @@ func VoltageForFreq(freqHz float64) float64 {
 	return math.Min(VMax, math.Max(VMin, v))
 }
 
+// DefaultFreqStepHz is the DVS grid step every oracle, controller,
+// server and command uses unless told otherwise: the paper-like fine
+// sweep of 21 frequencies.
+const DefaultFreqStepHz = 0.125e9
+
 // DVSFrequencies returns the frequency grid explored for DRM and DTM:
-// 2.5 GHz to 5.0 GHz in stepHz increments (use 0.125e9 for the paper-like
-// fine sweep, 0.25e9 for a faster one).
+// 2.5 GHz to 5.0 GHz in stepHz increments (DefaultFreqStepHz for a step
+// ≤ 0; 0.25e9 gives a faster, coarser sweep).
 func DVSFrequencies(stepHz float64) []float64 {
 	if stepHz <= 0 {
-		stepHz = 0.25e9
+		stepHz = DefaultFreqStepHz
 	}
 	var out []float64
 	for f := MinFreqHz; f <= MaxFreqHz+1; f += stepHz {

@@ -122,7 +122,7 @@ func TestDVSFrequencies(t *testing.T) {
 		t.Fatalf("grid size %d, want 11", len(fs))
 	}
 	// Zero step falls back to the default.
-	if len(DVSFrequencies(0)) != 11 {
+	if len(DVSFrequencies(0)) != 21 {
 		t.Fatalf("default grid broken")
 	}
 }

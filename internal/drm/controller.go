@@ -84,7 +84,7 @@ func NewController(env *exp.Env, qual core.Qualification, policy ControlPolicy) 
 		Env:      env,
 		Qual:     qual,
 		Policy:   policy,
-		StepHz:   0.125e9,
+		StepHz:   config.DefaultFreqStepHz,
 		Headroom: 0.90,
 	}
 }

@@ -63,13 +63,14 @@ func (a Adaptation) String() string {
 // Oracle is the once-per-application oracular DRM controller.
 type Oracle struct {
 	Env *exp.Env
-	// FreqStepHz is the DVS exploration grid (default 0.125 GHz).
+	// FreqStepHz is the DVS exploration grid (default
+	// config.DefaultFreqStepHz).
 	FreqStepHz float64
 }
 
 // NewOracle returns an oracle over env with the default DVS grid.
 func NewOracle(env *exp.Env) *Oracle {
-	return &Oracle{Env: env, FreqStepHz: 0.125e9}
+	return &Oracle{Env: env, FreqStepHz: config.DefaultFreqStepHz}
 }
 
 // Candidates returns the adaptation space's configurations.

@@ -43,7 +43,7 @@ type Oracle struct {
 
 // NewOracle returns a DTM oracle with the default DVS grid.
 func NewOracle(env *exp.Env) *Oracle {
-	return &Oracle{Env: env, FreqStepHz: 0.125e9}
+	return &Oracle{Env: env, FreqStepHz: config.DefaultFreqStepHz}
 }
 
 // Sweep holds evaluated DVS operating points for one application,

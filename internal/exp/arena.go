@@ -11,7 +11,7 @@ import (
 // evalArena is the per-worker scratch state of one uncached evaluation:
 // a pooled simulator core, a trace generator and a reusable epoch-row
 // buffer. Arenas live in a package-level sync.Pool, so concurrent
-// EvaluateAll workers each hold their own arena and the buffers are
+// EvaluateAllCtx workers each hold their own arena and the buffers are
 // reused — not reallocated — across the hundreds of evaluations of a
 // sweep and across Envs.
 //

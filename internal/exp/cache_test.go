@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -146,7 +147,7 @@ func TestAdaptiveFixedPointPreservesResults(t *testing.T) {
 
 func TestEvaluateAllEmptyAndDuplicates(t *testing.T) {
 	env := quickEnv()
-	if res, err := env.EvaluateAll(nil); err != nil || len(res) != 0 {
+	if res, err := env.EvaluateAllCtx(context.Background(), nil); err != nil || len(res) != 0 {
 		t.Fatalf("empty batch: %v, %v", res, err)
 	}
 	qual := env.Qualification(400)
@@ -157,7 +158,7 @@ func TestEvaluateAllEmptyAndDuplicates(t *testing.T) {
 		{App: app, Proc: env.Base, Qual: qual},
 		{App: app, Proc: env.Base.WithOperatingPoint(3e9), Qual: qual},
 	}
-	res, err := env.EvaluateAll(jobs)
+	res, err := env.EvaluateAllCtx(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

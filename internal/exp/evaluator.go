@@ -574,18 +574,13 @@ type EvalJob struct {
 	Qual core.Qualification
 }
 
-// EvaluateAll runs the jobs concurrently (they are independent) and
+// EvaluateAllCtx runs the jobs concurrently (they are independent) and
 // returns results in job order. A bounded worker pool — never more
 // goroutines than can run — drains a job channel; a full ArchDVS sweep
 // queues thousands of jobs without spawning thousands of blocked
-// goroutines. The first error (in job order) aborts the batch.
-func (e *Env) EvaluateAll(jobs []EvalJob) ([]Result, error) {
-	return e.EvaluateAllCtx(context.Background(), jobs)
-}
-
-// EvaluateAllCtx is EvaluateAll with cancellation: unstarted jobs are
-// never picked up once ctx is done, in-flight simulations stop at their
-// next epoch boundary, and the batch returns ctx's error.
+// goroutines. The first error (in job order) aborts the batch. Once ctx
+// is done unstarted jobs are never picked up, in-flight simulations
+// stop at their next epoch boundary, and the batch returns ctx's error.
 func (e *Env) EvaluateAllCtx(ctx context.Context, jobs []EvalJob) ([]Result, error) {
 	results := make([]Result, len(jobs))
 	errs := make([]error, len(jobs))

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -173,7 +174,7 @@ func TestEvaluateAllPreservesOrder(t *testing.T) {
 		{App: trace.Gzip(), Proc: env.Base, Qual: q},
 		{App: trace.Art(), Proc: env.Base, Qual: q},
 	}
-	results, err := env.EvaluateAll(jobs)
+	results, err := env.EvaluateAllCtx(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

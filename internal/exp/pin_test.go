@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"encoding/binary"
 	"hash"
 	"hash/fnv"
@@ -96,7 +97,7 @@ func TestRequalifyDigest(t *testing.T) {
 			jobs = append(jobs, EvalJob{App: app, Proc: proc, Qual: q400})
 		}
 	}
-	results, err := env.EvaluateAll(jobs)
+	results, err := env.EvaluateAllCtx(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

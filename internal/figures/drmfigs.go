@@ -2,6 +2,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -29,9 +30,10 @@ type Figure2Row struct {
 
 // Figure2 reproduces Figure 2: ArchDVS DRM performance for all nine
 // applications at T_qual in {400, 370, 345, 325} K.
-// stepHz sets the DVS grid (0 = the oracle default of 0.125 GHz).
+// stepHz sets the DVS grid (0 = the oracle default, config.DefaultFreqStepHz).
 func Figure2(e *exp.Env, apps []trace.Profile, stepHz float64) ([]Figure2Row, error) {
-	defer figSpan(e, "figures.figure2").End()
+	ctx, span := figSpan(context.Background(), e, "figures.figure2")
+	defer span.End()
 	if apps == nil {
 		apps = trace.Apps()
 	}
@@ -41,7 +43,7 @@ func Figure2(e *exp.Env, apps []trace.Profile, stepHz float64) ([]Figure2Row, er
 	}
 	rows := make([]Figure2Row, 0, len(apps))
 	for _, app := range apps {
-		sweep, err := oracle.Sweep(app, drm.ArchDVS)
+		sweep, err := oracle.SweepCtx(ctx, app, drm.ArchDVS)
 		if err != nil {
 			return nil, err
 		}
@@ -53,7 +55,7 @@ func Figure2(e *exp.Env, apps []trace.Profile, stepHz float64) ([]Figure2Row, er
 			ChosenArch: make([]string, 0, len(Figure2TqualsK)),
 		}
 		for _, tq := range Figure2TqualsK {
-			choice, err := sweep.Select(e, e.Qualification(tq))
+			choice, err := sweep.SelectCtx(ctx, e, e.Qualification(tq))
 			if err != nil {
 				return nil, err
 			}
@@ -100,9 +102,10 @@ type Figure3Row struct {
 
 // Figure3 reproduces Figure 3: Arch vs DVS vs ArchDVS for one
 // application across qualification temperatures.
-// stepHz sets the DVS grid (0 = the oracle default of 0.125 GHz).
+// stepHz sets the DVS grid (0 = the oracle default, config.DefaultFreqStepHz).
 func Figure3(e *exp.Env, app trace.Profile, stepHz float64) ([]Figure3Row, error) {
-	defer figSpan(e, "figures.figure3").End()
+	ctx, span := figSpan(context.Background(), e, "figures.figure3")
+	defer span.End()
 	oracle := drm.NewOracle(e)
 	if stepHz > 0 {
 		oracle.FreqStepHz = stepHz
@@ -110,7 +113,7 @@ func Figure3(e *exp.Env, app trace.Profile, stepHz float64) ([]Figure3Row, error
 	adaptations := []drm.Adaptation{drm.Arch, drm.DVS, drm.ArchDVS}
 	rows := make([]Figure3Row, 0, len(adaptations))
 	for _, a := range adaptations {
-		sweep, err := oracle.Sweep(app, a)
+		sweep, err := oracle.SweepCtx(ctx, app, a)
 		if err != nil {
 			return nil, err
 		}
@@ -120,7 +123,7 @@ func Figure3(e *exp.Env, app trace.Profile, stepHz float64) ([]Figure3Row, error
 			Feasible:   make([]bool, 0, len(Figure3TqualsK)),
 		}
 		for _, tq := range Figure3TqualsK {
-			choice, err := sweep.Select(e, e.Qualification(tq))
+			choice, err := sweep.SelectCtx(ctx, e, e.Qualification(tq))
 			if err != nil {
 				return nil, err
 			}
@@ -171,9 +174,10 @@ type Figure4Row struct {
 // Figure4 reproduces Figure 4: the frequency chosen by DVS for DRM
 // (DVS-Rel) and for DTM (DVS-Temp) at each temperature, for every
 // application. The same DVS sweep feeds both controllers.
-// stepHz sets the DVS grid (0 = the oracle default of 0.125 GHz).
+// stepHz sets the DVS grid (0 = the oracle default, config.DefaultFreqStepHz).
 func Figure4(e *exp.Env, apps []trace.Profile, stepHz float64) ([]Figure4Row, error) {
-	defer figSpan(e, "figures.figure4").End()
+	ctx, span := figSpan(context.Background(), e, "figures.figure4")
+	defer span.End()
 	if apps == nil {
 		apps = trace.Apps()
 	}
@@ -183,7 +187,7 @@ func Figure4(e *exp.Env, apps []trace.Profile, stepHz float64) ([]Figure4Row, er
 	}
 	rows := make([]Figure4Row, 0, len(apps))
 	for _, app := range apps {
-		sweep, err := oracle.Sweep(app, drm.DVS)
+		sweep, err := oracle.SweepCtx(ctx, app, drm.DVS)
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +201,7 @@ func Figure4(e *exp.Env, apps []trace.Profile, stepHz float64) ([]Figure4Row, er
 		}
 		for _, t := range Figure4TempsK {
 			qual := e.Qualification(t)
-			drmChoice, err := sweep.Select(e, qual)
+			drmChoice, err := sweep.SelectCtx(ctx, e, qual)
 			if err != nil {
 				return nil, err
 			}

@@ -18,12 +18,13 @@ import (
 	"ramp/internal/trace"
 )
 
-// figSpan opens a root span for one figure/table regeneration on the
-// environment's tracer (nil-safe: a disabled span when uninstrumented).
-// Callers defer End on the result, so the span covers the whole driver.
-func figSpan(e *exp.Env, name string) obs.Span {
-	_, s := e.Trace.Start(context.Background(), name)
-	return s
+// figSpan opens the span of one figure/table regeneration on the
+// environment's tracer (nil-safe: a disabled span and ctx itself when
+// uninstrumented). The driver passes the returned context to every Ctx
+// call it makes, so the sweeps and evaluations it starts are the span's
+// children, and defers End on the span, so it covers the whole driver.
+func figSpan(ctx context.Context, e *exp.Env, name string) (context.Context, obs.Span) {
+	return e.Trace.Start(ctx, name)
 }
 
 // Figure2TqualsK are the qualification temperatures of Figure 2.
@@ -96,14 +97,15 @@ type Table2Row struct {
 // Table2 reproduces Table 2: per-application IPC and power (dynamic +
 // leakage) on the base non-adaptive processor.
 func Table2(e *exp.Env) ([]Table2Row, error) {
-	defer figSpan(e, "figures.table2").End()
+	ctx, span := figSpan(context.Background(), e, "figures.table2")
+	defer span.End()
 	apps := trace.Apps()
 	qual := e.Qualification(400)
 	jobs := make([]exp.EvalJob, len(apps))
 	for i, a := range apps {
 		jobs[i] = exp.EvalJob{App: a, Proc: e.Base, Qual: qual}
 	}
-	results, err := e.EvaluateAll(jobs)
+	results, err := e.EvaluateAllCtx(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +149,8 @@ type Figure1Row struct {
 // on the middle one only the cool application does; on the cheap one
 // neither does.
 func Figure1(e *exp.Env) ([]Figure1Row, error) {
-	defer figSpan(e, "figures.figure1").End()
+	ctx, span := figSpan(context.Background(), e, "figures.figure1")
+	defer span.End()
 	apps := []trace.Profile{trace.MP3dec(), trace.Twolf()} // A: hot, B: cool
 	// Three qualification cost points chosen so the paper's staircase
 	// appears: on processor 1 both apps meet the target, on processor 2
@@ -155,7 +158,7 @@ func Figure1(e *exp.Env) ([]Figure1Row, error) {
 	tquals := []float64{395, 353, 330}
 	var rows []Figure1Row
 	for _, app := range apps {
-		r, err := e.Evaluate(app, e.Base, e.Qualification(400))
+		r, err := e.EvaluateCtx(ctx, app, e.Base, e.Qualification(400))
 		if err != nil {
 			return nil, err
 		}

@@ -57,7 +57,8 @@ func ManycoreSweepCtx(ctx context.Context, e *exp.Env, nCores []int, tqualK floa
 }
 
 func manycoreSweepCtx(ctx context.Context, e *exp.Env, nCores []int, tqualK float64, epochs int) (ManycoreTable, error) {
-	defer figSpan(e, "figures.manycore").End()
+	ctx, span := figSpan(ctx, e, "figures.manycore")
+	defer span.End()
 	t := ManycoreTable{TqualK: tqualK}
 	var err error
 	t.BaselineFIT, t.BaselineYrs, err = sched.SingleCoreDRMCtx(ctx, e, tqualK)

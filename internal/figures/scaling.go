@@ -78,7 +78,7 @@ func ScalingStudy(opts exp.Options, tr *obs.Tracer, reg *obs.Registry) ([]Scalin
 		}
 		env := exp.NewCustomEnv(node.Tech(), node.Proc(), fp, budget, opts).Instrument(tr, reg)
 		qual := env.Qualification(400)
-		_, nodeSpan := tr.Start(ctx, "figures.scaling.node")
+		nodeCtx, nodeSpan := tr.Start(ctx, "figures.scaling.node")
 		nodeSpan.Annotate(obs.Float("node_nm", node.NodeNM))
 
 		row := ScalingRow{
@@ -89,7 +89,7 @@ func ScalingStudy(opts exp.Options, tr *obs.Tracer, reg *obs.Registry) ([]Scalin
 		}
 		apps := ScalingApps()
 		for _, app := range apps {
-			r, err := env.Evaluate(app, env.Base, qual)
+			r, err := env.EvaluateCtx(nodeCtx, app, env.Base, qual)
 			if err != nil {
 				return nil, fmt.Errorf("scaling %vnm/%s: %w", node.NodeNM, app.Name, err)
 			}

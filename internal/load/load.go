@@ -8,12 +8,10 @@
 // the paper's dynamic reliability management argument presumes).
 //
 // Open loop means the arrival process does not slow down when the
-// server does: arrivals keep their scheduled times and only a bounded
-// in-flight budget protects the client itself (arrivals that find the
-// budget exhausted are counted as dropped, never silently stretched —
-// the coordinated-omission mistake closed-loop harnesses make). The
-// closed-loop fallback (Config.Closed) exists for saturation probing,
-// where "as fast as the server allows" is the point.
+// server does: every request is timed from its arrival's due time, so a
+// stall shows as latency on each arrival queued behind it, never as a
+// gap in the schedule (the coordinated-omission mistake closed-loop
+// harnesses make), and no arrival is dropped.
 package load
 
 import (
@@ -34,17 +32,15 @@ import (
 // Client-side instrument names (all in the harness's own registry —
 // the load client never shares a registry with the server it measures).
 const (
-	// MetricSent counts scheduled arrivals — including dropped ones; an
-	// open-loop arrival happens whether or not the client can carry it.
-	MetricSent     = "load_requests_total"
+	MetricSent     = "load_requests_total" // arrivals handed to a sender
 	MetricOK       = "load_ok_total"
 	MetricShed     = "load_shed_total"     // server 429
 	MetricTimeout  = "load_timeout_total"  // server 504
 	MetricCanceled = "load_canceled_total" // server 499
 	MetricHTTPErr  = "load_error_http_total"
 	MetricNetErr   = "load_error_net_total"
-	MetricDropped  = "load_dropped_total" // open-loop in-flight budget hit
-	MetricLatency  = "load_latency_us"
+	MetricLatency  = "load_latency_us" // response time from the due time
+	MetricLate     = "load_late_us"    // send time minus the due time
 )
 
 // Config tunes one load run. Zero fields take the documented defaults.
@@ -59,14 +55,8 @@ type Config struct {
 	Profile Profile
 	// Mix weights the three routes.
 	Mix Mix
-	// MaxInflight bounds concurrently outstanding requests in open-loop
-	// mode (default 256); arrivals beyond it are counted dropped.
-	MaxInflight int
-	// Closed switches to the closed-loop fallback: Workers goroutines
-	// issue requests back to back, ignoring the schedule's timing (the
-	// schedule still supplies the deterministic request stream).
-	Closed bool
-	// Workers is the closed-loop concurrency (default 32).
+	// Workers is the number of senders and the transport's connection
+	// cap (default 32): at most this many requests are outstanding.
 	Workers int
 	// Timeout caps one request (default 60s).
 	Timeout time.Duration
@@ -100,9 +90,6 @@ func (c *Config) normalize() error {
 	if c.Mix.Evaluate+c.Mix.Sweep+c.Mix.Fleet <= 0 {
 		return errors.New("load: Mix must have positive total weight")
 	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 256
-	}
 	if c.Workers <= 0 {
 		c.Workers = 32
 	}
@@ -125,9 +112,9 @@ func (c *Config) normalize() error {
 // never takes the registry lock.
 type instruments struct {
 	sent, ok, shed, timeout, canceled *obs.Counter
-	httpErr, netErr, dropped          *obs.Counter
+	httpErr, netErr                   *obs.Counter
 	sentRoute                         map[string]*obs.Counter
-	lat                               *obs.Histogram
+	lat, late                         *obs.Histogram
 	latRoute                          map[string]*obs.Histogram
 }
 
@@ -140,8 +127,8 @@ func newInstruments(reg *obs.Registry) *instruments {
 		canceled:  reg.Counter(MetricCanceled),
 		httpErr:   reg.Counter(MetricHTTPErr),
 		netErr:    reg.Counter(MetricNetErr),
-		dropped:   reg.Counter(MetricDropped),
 		lat:       reg.Histogram(MetricLatency),
+		late:      reg.Histogram(MetricLate),
 		sentRoute: make(map[string]*obs.Counter, 3),
 		latRoute:  make(map[string]*obs.Histogram, 3),
 	}
@@ -150,6 +137,19 @@ func newInstruments(reg *obs.Registry) *instruments {
 		ins.latRoute[route] = reg.Histogram(MetricLatency + "_" + route)
 	}
 	return ins
+}
+
+// Arrival is one request of a run: when it is due, as an offset from
+// the run's start, and what it posts.
+type Arrival struct {
+	Due   time.Duration
+	Route string // "evaluate", "sweep" or "fleet"
+	Body  string // the JSON request body
+}
+
+// Arrivals yields a run's arrivals in due order until ok is false.
+type Arrivals interface {
+	Next() (a Arrival, ok bool)
 }
 
 // Runner drives one load run. Construct with New; Run may be called
@@ -182,29 +182,29 @@ func New(cfg Config) (*Runner, error) {
 		client: &http.Client{
 			Timeout: cfg.Timeout,
 			Transport: &http.Transport{
-				MaxIdleConns:        cfg.MaxInflight * 2,
-				MaxIdleConnsPerHost: cfg.MaxInflight * 2,
+				MaxConnsPerHost:     cfg.Workers,
+				MaxIdleConns:        cfg.Workers,
+				MaxIdleConnsPerHost: cfg.Workers,
 				IdleConnTimeout:     90 * time.Second,
 			},
 		},
 	}, nil
 }
 
-// do issues one request and classifies the outcome. The latency
-// histograms record every request that produced an HTTP response;
-// transport failures only count. The sent counters are bumped at
-// arrival time by the dispatchers (dropped arrivals count as sent —
-// open loop means the arrival happened whether or not the client could
-// carry it).
-func (r *Runner) do(ctx context.Context, req request) {
+// do sends one arrival, timing its lateness and its latency from its due
+// time, and classifies the outcome. The latency histograms record every
+// response; transport failures only count.
+func (r *Runner) do(ctx context.Context, due time.Time, a Arrival) {
+	r.ins.sent.Inc()
+	r.ins.sentRoute[a.Route].Inc()
+	r.ins.late.Observe(time.Since(due).Microseconds())
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		r.cfg.BaseURL+"/v1/"+req.route, strings.NewReader(req.body))
+		r.cfg.BaseURL+"/v1/"+a.Route, strings.NewReader(a.Body))
 	if err != nil {
 		r.ins.netErr.Inc()
 		return
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
-	start := time.Now()
 	resp, err := r.client.Do(httpReq)
 	if err != nil {
 		r.ins.netErr.Inc()
@@ -212,9 +212,9 @@ func (r *Runner) do(ctx context.Context, req request) {
 	}
 	_, _ = io.Copy(io.Discard, resp.Body)
 	_ = resp.Body.Close()
-	us := time.Since(start).Microseconds()
+	us := time.Since(due).Microseconds()
 	r.ins.lat.Observe(us)
-	r.ins.latRoute[req.route].Observe(us)
+	r.ins.latRoute[a.Route].Observe(us)
 	switch {
 	case resp.StatusCode >= 200 && resp.StatusCode < 300:
 		r.ins.ok.Inc()
@@ -242,9 +242,16 @@ func (r *Runner) emitWindow(enc *json.Encoder) {
 	}
 }
 
-// Run executes the configured load run and returns its report. The
-// context cancels the run early (the report covers what completed).
+// Run sends the configured seeded stream — the draw WritePlan hashes —
+// and returns the run's report. The context cancels the run early (the
+// report covers what completed).
 func (r *Runner) Run(ctx context.Context) (*Report, error) {
+	return r.RunArrivals(ctx, newStream(r.cfg.Seed, r.cfg.Requests, r.cfg.Profile, r.cfg.Mix))
+}
+
+// RunArrivals is Run over a caller's arrival stream; the Config's Seed,
+// Requests, Profile and Mix then only label the report.
+func (r *Runner) RunArrivals(ctx context.Context, arr Arrivals) (*Report, error) {
 	before, beforeErr := fetchServerMetrics(ctx, r.client, r.cfg.BaseURL)
 	if beforeErr != nil {
 		r.cfg.Log.Warn("server /metrics baseline unavailable; reconciliation disabled", "err", beforeErr)
@@ -277,12 +284,7 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	}
 
 	start := time.Now()
-	var runErr error
-	if r.cfg.Closed {
-		runErr = r.runClosed(ctx)
-	} else {
-		runErr = r.runOpen(ctx)
-	}
+	runErr := r.send(ctx, start, arr)
 	wall := time.Since(start)
 
 	close(stopWin)
@@ -300,52 +302,29 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
-// runOpen paces arrivals on the schedule, never letting server slowness
-// stretch the arrival process. A sender goroutine per admitted arrival,
-// bounded by the in-flight budget.
-func (r *Runner) runOpen(ctx context.Context) error {
-	sched := newSchedule(r.cfg.Profile, r.cfg.Seed)
-	smp := newSampler(r.cfg.Mix, r.cfg.Seed, nil)
-	sem := make(chan struct{}, r.cfg.MaxInflight)
+// send is the Runner's one send path: a single pacer sleeps until each
+// arrival is due and hands it to whichever of the Workers senders is
+// free; while none is, the arrivals it holds go out late.
+func (r *Runner) send(ctx context.Context, start time.Time, arr Arrivals) error {
+	work := make(chan Arrival)
 	var wg sync.WaitGroup
-	defer wg.Wait()
-
-	start := time.Now()
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	for i := 0; i < r.cfg.Requests; i++ {
-		off := sched.next()
-		req := smp.sample()
-		r.ins.sent.Inc()
-		r.ins.sentRoute[req.route].Inc()
-		// Sleep until the scheduled arrival; if the client is behind,
-		// fire immediately (open loop catches up, it never re-times).
-		if wait := time.Until(start.Add(off)); wait > 200*time.Microsecond {
-			timer.Reset(wait)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				if !timer.Stop() {
-					<-timer.C
-				}
-				return ctx.Err()
+	for w := 0; w < r.cfg.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for a := range work {
+				r.do(ctx, start.Add(a.Due), a)
 			}
+		}()
+	}
+	defer wg.Wait()
+	defer close(work)
+	for a, ok := arr.Next(); ok; a, ok = arr.Next() {
+		if err := sleepUntil(ctx, start.Add(a.Due)); err != nil {
+			return err
 		}
 		select {
-		case sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				r.do(ctx, req)
-			}()
-		default:
-			// In-flight budget exhausted: the arrival happened (open
-			// loop!) but the client refuses to stack more connections.
-			r.ins.dropped.Inc()
+		case work <- a:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
@@ -353,45 +332,29 @@ func (r *Runner) runOpen(ctx context.Context) error {
 	return nil
 }
 
-// runClosed issues the same deterministic request stream from Workers
-// back-to-back loops (saturation probing; timing is server-paced).
-func (r *Runner) runClosed(ctx context.Context) error {
-	smp := newSampler(r.cfg.Mix, r.cfg.Seed, nil)
-	work := make(chan request, r.cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < r.cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for req := range work {
-				r.do(ctx, req)
-			}
-		}()
-	}
-	var err error
-fill:
-	for i := 0; i < r.cfg.Requests; i++ {
-		req := smp.sample()
-		select {
-		case work <- req:
-			r.ins.sent.Inc()
-			r.ins.sentRoute[req.route].Inc()
-		case <-ctx.Done():
-			err = ctx.Err()
-			break fill
+// napSlice bounds one nap of the pacer, so a canceled run stops within
+// about this long however far away its next arrival is due.
+const napSlice = 10 * time.Millisecond
+
+// sleepUntil blocks until t or until ctx ends, in naps of at most
+// napSlice. It never returns nil before t, so no arrival is sent early.
+func sleepUntil(ctx context.Context, t time.Time) error {
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		d := time.Until(t)
+		if d <= 0 {
+			return nil
+		}
+		nap(min(d, napSlice))
 	}
-	close(work)
-	wg.Wait()
-	return err
 }
 
 // serverMetrics is the slice of rampserve's /metrics JSON document the
 // reconciliation reads.
 type serverMetrics struct {
 	RequestsTotal map[string]int64 `json:"requests_total"`
-	ShedTotal     int64            `json:"shed_total"`
-	TimeoutTotal  int64            `json:"timeout_total"`
 }
 
 func fetchServerMetrics(ctx context.Context, client *http.Client, baseURL string) (serverMetrics, error) {

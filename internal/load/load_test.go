@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -128,7 +131,7 @@ func TestParseMix(t *testing.T) {
 
 func TestSamplerDeterministicAndWeighted(t *testing.T) {
 	mix := Mix{Evaluate: 8, Sweep: 1, Fleet: 1}
-	a, b := newSampler(mix, 5, nil), newSampler(mix, 5, nil)
+	a, b := newSampler(mix, 5), newSampler(mix, 5)
 	counts := map[string]int{}
 	appSet := map[string]bool{}
 	for _, app := range corpusApps {
@@ -160,7 +163,7 @@ func TestSamplerDeterministicAndWeighted(t *testing.T) {
 	}
 
 	// A zero-weight route is never drawn.
-	s := newSampler(Mix{Evaluate: 1}, 5, nil)
+	s := newSampler(Mix{Evaluate: 1}, 5)
 	for i := 0; i < 200; i++ {
 		if r := s.sample(); r.route != RouteEvaluate {
 			t.Fatalf("zero-weight route %q sampled", r.route)
@@ -215,11 +218,19 @@ func TestWritePlanStreamHash(t *testing.T) {
 
 // fakeRampserve mimics the slice of rampserve's contract the harness
 // depends on: the three POST routes plus the /metrics JSON counters.
-// status picks the response code for the i-th handled request.
+// status picks the response code for the i-th handled request (it may
+// block to stall it); a negative code aborts the connection instead.
 type fakeRampserve struct {
-	mu      sync.Mutex
-	handled map[string]int64
-	status  func(i int64, route string) int
+	mu       sync.Mutex
+	handled  map[string]int64
+	received []received // every POST, in the order it arrived
+	status   func(i int64, route string) int
+}
+
+// received is one POST as the fake saw it.
+type received struct {
+	route, body string
+	at          time.Time
 }
 
 func newFakeRampserve(status func(i int64, route string) int) *fakeRampserve {
@@ -233,13 +244,20 @@ func (f *fakeRampserve) handler() http.Handler {
 	mux := http.NewServeMux()
 	route := func(name string) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
+			at := time.Now()
+			body, _ := io.ReadAll(r.Body)
 			f.mu.Lock()
 			i := f.handled["total"]
 			f.handled["total"]++
 			f.handled[name]++
+			f.received = append(f.received, received{route: name, body: string(body), at: at})
 			f.mu.Unlock()
+			code := f.status(i, name)
+			if code < 0 {
+				panic(http.ErrAbortHandler)
+			}
 			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(f.status(i, name))
+			w.WriteHeader(code)
 			fmt.Fprint(w, `{}`)
 		}
 	}
@@ -270,7 +288,6 @@ func testConfig(url string, n int) Config {
 		Requests:    n,
 		Profile:     Profile{Kind: "constant", RPS: 2000},
 		Mix:         Mix{Evaluate: 8, Sweep: 1, Fleet: 1},
-		MaxInflight: 256,
 		Timeout:     10 * time.Second,
 		WindowEvery: 50 * time.Millisecond,
 		WindowCap:   100,
@@ -297,7 +314,7 @@ func TestRunnerOpenLoopAgainstFake(t *testing.T) {
 	if rep.Sent != 400 {
 		t.Errorf("sent = %d, want 400", rep.Sent)
 	}
-	reached := rep.Sent - rep.Dropped - rep.NetErr
+	reached := rep.Sent - rep.NetErr
 	if rep.OK != reached {
 		t.Errorf("ok = %d, want every reached request (%d)", rep.OK, reached)
 	}
@@ -307,8 +324,8 @@ func TestRunnerOpenLoopAgainstFake(t *testing.T) {
 	if !rep.Reconcile.Enabled || !rep.Reconcile.Pass {
 		t.Errorf("reconciliation failed: %+v", rep.Reconcile)
 	}
-	if rep.Mode != "open" || rep.Profile != "constant:2000" {
-		t.Errorf("report config echo wrong: mode=%q profile=%q", rep.Mode, rep.Profile)
+	if rep.Profile != "constant:2000" {
+		t.Errorf("report config echo wrong: profile=%q", rep.Profile)
 	}
 
 	// Per-route latency counts sum to the overall count.
@@ -365,7 +382,7 @@ func TestRunnerClassifiesOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reached := rep.Sent - rep.Dropped - rep.NetErr
+	reached := rep.Sent - rep.NetErr
 	if got := rep.OK + rep.Shed + rep.Timeout + rep.Canceled + rep.HTTPErr; got != reached {
 		t.Errorf("outcome tallies sum to %d, want %d", got, reached)
 	}
@@ -377,14 +394,25 @@ func TestRunnerClassifiesOutcomes(t *testing.T) {
 	}
 }
 
-func TestRunnerClosedLoop(t *testing.T) {
-	fake := newFakeRampserve(nil)
+// TestRunnerWorkersCapConcurrency: at a rate far above what the fake
+// serves, the senders saturate and the fake never sees more than
+// Workers requests at once; every arrival is still sent and answered.
+func TestRunnerWorkersCapConcurrency(t *testing.T) {
+	var inflight, peak atomic.Int64
+	fake := newFakeRampserve(func(int64, string) int {
+		n := inflight.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(2 * time.Millisecond)
+		inflight.Add(-1)
+		return http.StatusOK
+	})
 	hs := httptest.NewServer(fake.handler())
 	defer hs.Close()
 
 	cfg := testConfig(hs.URL, 300)
-	cfg.Closed = true
-	cfg.Workers = 8
+	cfg.Profile = Profile{Kind: "constant", RPS: 1_000_000}
+	cfg.Workers = 3
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -393,11 +421,198 @@ func TestRunnerClosedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Mode != "closed" || rep.Sent != 300 || rep.OK != 300 || rep.Dropped != 0 {
-		t.Errorf("closed loop: %+v", rep)
+	if got := peak.Load(); got > int64(cfg.Workers) {
+		t.Errorf("fake saw %d requests at once, Workers is %d", got, cfg.Workers)
+	}
+	if rep.Sent != 300 || rep.OK != 300 {
+		t.Errorf("saturated run: sent %d ok %d, want 300 each", rep.Sent, rep.OK)
 	}
 	if !rep.Reconcile.Pass {
-		t.Errorf("closed-loop reconciliation failed: %+v", rep.Reconcile)
+		t.Errorf("saturated-run reconciliation failed: %+v", rep.Reconcile)
+	}
+}
+
+// TestRunnerStallLatencyFromDue: one sender, and the fake stalls one
+// request for 50 ms. Every arrival due during the stall waits for the
+// sender, so its latency and lateness, read from its own due time, are
+// at least the stall minus its offset from the stalled arrival. The
+// histograms' exact sums must cover those lower bounds; timing from the
+// send would read each queued request at its (fast) service time.
+func TestRunnerStallLatencyFromDue(t *testing.T) {
+	const (
+		rps     = 1000 // one arrival per millisecond
+		stallAt = 10
+		stall   = 50 * time.Millisecond
+	)
+	fake := newFakeRampserve(func(i int64, _ string) int {
+		if i == stallAt {
+			time.Sleep(stall)
+		}
+		return http.StatusOK
+	})
+	hs := httptest.NewServer(fake.handler())
+	defer hs.Close()
+
+	cfg := testConfig(hs.URL, 100)
+	cfg.Profile = Profile{Kind: "constant", RPS: rps}
+	cfg.Workers = 1
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Arrival stallAt+k (k ≥ 0) is due k ms after the stalled one and
+	// cannot be answered before the stall ends; from k ≥ 1 it cannot be
+	// sent before then either.
+	gap := time.Second / rps
+	var latFloor, lateFloor int64
+	for k := time.Duration(0); k*gap < stall; k++ {
+		latFloor += (stall - k*gap).Microseconds()
+		if k > 0 {
+			lateFloor += (stall - k*gap).Microseconds()
+		}
+	}
+	s := r.Snapshot()
+	if got := s.Histograms[MetricLatency].Sum; got < latFloor {
+		t.Errorf("latency sums to %d µs, want ≥ %d µs: queued arrivals are not timed from their due times", got, latFloor)
+	}
+	if got := s.Histograms[MetricLate].Sum; got < lateFloor {
+		t.Errorf("lateness sums to %d µs, want ≥ %d µs", got, lateFloor)
+	}
+}
+
+// TestRunnerSendsPlanOnTime: a one-sender run delivers exactly the
+// (route, body) sequence WritePlan hashes for the same seed, profile,
+// mix and count, and no request reaches the fake before its due time
+// (lateness is never negative).
+func TestRunnerSendsPlanOnTime(t *testing.T) {
+	fake := newFakeRampserve(nil)
+	hs := httptest.NewServer(fake.handler())
+	defer hs.Close()
+
+	const n = 200
+	cfg := testConfig(hs.URL, n)
+	cfg.Workers = 1
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := time.Now()
+	rep, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Late.Count != n {
+		t.Errorf("lateness histogram counts %d sends, want %d", rep.Late.Count, n)
+	}
+
+	var plan strings.Builder
+	if err := WritePlan(&plan, cfg.Seed, n, cfg.Profile, cfg.Mix); err != nil {
+		t.Fatal(err)
+	}
+	fake.mu.Lock()
+	got := append([]received(nil), fake.received...)
+	fake.mu.Unlock()
+	if len(got) != n {
+		t.Fatalf("fake received %d requests, want %d", len(got), n)
+	}
+	sched := newSchedule(cfg.Profile, cfg.Seed)
+	h := fnv.New64a()
+	for i, rec := range got {
+		due := sched.next()
+		if early := before.Add(due).Sub(rec.at); early > 0 {
+			t.Fatalf("request %d reached the fake %s before its due time", i, early)
+		}
+		fmt.Fprintf(h, "%d %s %s\n", due.Nanoseconds(), rec.route, rec.body)
+	}
+	if want := fmt.Sprintf("stream fnv64a %016x\n", h.Sum64()); !strings.HasSuffix(plan.String(), want) {
+		t.Errorf("delivered stream hashes to %q, plan reads:\n%s", want, plan.String())
+	}
+}
+
+// TestRunnerExactAccounting: under a mix of statuses and aborted
+// connections every send lands in exactly one outcome, the latency
+// histograms count every response and the lateness histogram every send.
+func TestRunnerExactAccounting(t *testing.T) {
+	fake := newFakeRampserve(func(i int64, _ string) int {
+		switch {
+		case i%13 == 12:
+			return -1 // abort: the client sees a transport error
+		case i%10 == 9:
+			return http.StatusGatewayTimeout
+		case i%7 == 6:
+			return 499
+		case i%4 == 3:
+			return http.StatusTooManyRequests
+		case i == 0:
+			return http.StatusInternalServerError
+		default:
+			return http.StatusOK
+		}
+	})
+	hs := httptest.NewServer(fake.handler())
+	defer hs.Close()
+
+	r, err := New(testConfig(hs.URL, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Sent != 300 {
+		t.Errorf("sent = %d, want 300", rep.Sent)
+	}
+	if got := rep.OK + rep.Shed + rep.Timeout + rep.Canceled + rep.HTTPErr + rep.NetErr; got != rep.Sent {
+		t.Errorf("outcomes sum to %d, sent %d: %+v", got, rep.Sent, rep)
+	}
+	if rep.OK == 0 || rep.Shed == 0 || rep.Timeout == 0 || rep.Canceled == 0 || rep.HTTPErr == 0 || rep.NetErr == 0 {
+		t.Errorf("expected every outcome, got %+v", rep)
+	}
+	responses := rep.Sent - rep.NetErr
+	if rep.Latency.Count != responses {
+		t.Errorf("latency histogram counts %d, want every response (%d)", rep.Latency.Count, responses)
+	}
+	var perRoute int64
+	for _, route := range []string{RouteEvaluate, RouteSweep, RouteFleet} {
+		perRoute += rep.LatencyRoute[route].Count
+	}
+	if perRoute != responses {
+		t.Errorf("per-route latency counts sum to %d, want %d", perRoute, responses)
+	}
+	if rep.Late.Count != rep.Sent {
+		t.Errorf("lateness histogram counts %d, want every send (%d)", rep.Late.Count, rep.Sent)
+	}
+}
+
+// TestRunnerCancelDistantArrival: a run whose next arrival is 100 s away
+// returns promptly when its context ends.
+func TestRunnerCancelDistantArrival(t *testing.T) {
+	fake := newFakeRampserve(nil)
+	hs := httptest.NewServer(fake.handler())
+	defer hs.Close()
+
+	cfg := testConfig(hs.URL, 10)
+	cfg.Profile = Profile{Kind: "constant", RPS: 0.01}
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	rep, err := r.Run(ctx)
+	if err != nil {
+		t.Fatalf("canceled run should report, not fail: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("canceled run took %s to return", took)
+	}
+	if rep.Sent != 0 {
+		t.Errorf("sent %d arrivals, none was due", rep.Sent)
 	}
 }
 

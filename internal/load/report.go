@@ -27,7 +27,6 @@ type WindowFrame struct {
 	Canceled int64 `json:"canceled"`
 	HTTPErr  int64 `json:"http_err"`
 	NetErr   int64 `json:"net_err"`
-	Dropped  int64 `json:"dropped"`
 
 	RPS   float64 `json:"rps"`
 	P50US float64 `json:"p50_us"`
@@ -48,7 +47,6 @@ func frameFromDelta(d obs.WindowDelta) WindowFrame {
 		Canceled: c[MetricCanceled],
 		HTTPErr:  c[MetricHTTPErr],
 		NetErr:   c[MetricNetErr],
-		Dropped:  c[MetricDropped],
 	}
 	if f.Seconds > 0 {
 		f.RPS = float64(f.Sent) / f.Seconds
@@ -85,7 +83,7 @@ func latencyStats(h obs.HistogramSnapshot) LatencyStats {
 
 // Reconciliation cross-checks the client's view against the server's
 // /metrics counters: every request the client believes reached the wire
-// (sent − dropped − transport errors) must show up in the server's
+// (sent − transport errors) must show up in the server's
 // route counters, within tolerance. A mismatch means one side is
 // miscounting — exactly the bug a telemetry harness exists to catch.
 type Reconciliation struct {
@@ -114,7 +112,6 @@ type Report struct {
 	Requests int    `json:"requests"`
 	Profile  string `json:"profile"`
 	Mix      string `json:"mix"`
-	Mode     string `json:"mode"` // "open" or "closed"
 
 	WallSeconds float64 `json:"wall_seconds"`
 	AchievedRPS float64 `json:"achieved_rps"`
@@ -126,10 +123,12 @@ type Report struct {
 	Canceled int64 `json:"canceled"`
 	HTTPErr  int64 `json:"http_err"`
 	NetErr   int64 `json:"net_err"`
-	Dropped  int64 `json:"dropped"`
 
+	// Latency is response time from each arrival's due time; Late is how
+	// long after its due time each arrival was sent.
 	Latency      LatencyStats            `json:"latency"`
 	LatencyRoute map[string]LatencyStats `json:"latency_by_route"`
+	Late         LatencyStats            `json:"late"`
 
 	Reconcile Reconciliation `json:"reconcile"`
 
@@ -142,17 +141,12 @@ type Report struct {
 func (r *Runner) buildReport(wall time.Duration, before, after serverMetrics, reconOK bool) *Report {
 	s := r.reg.Snapshot()
 	c := s.Counters
-	mode := "open"
-	if r.cfg.Closed {
-		mode = "closed"
-	}
 	rep := &Report{
 		Target:   r.cfg.BaseURL,
 		Seed:     r.cfg.Seed,
 		Requests: r.cfg.Requests,
 		Profile:  r.cfg.Profile.String(),
 		Mix:      r.cfg.Mix.String(),
-		Mode:     mode,
 
 		WallSeconds: wall.Seconds(),
 
@@ -163,10 +157,10 @@ func (r *Runner) buildReport(wall time.Duration, before, after serverMetrics, re
 		Canceled: c[MetricCanceled],
 		HTTPErr:  c[MetricHTTPErr],
 		NetErr:   c[MetricNetErr],
-		Dropped:  c[MetricDropped],
 
 		Latency:      latencyStats(s.Histograms[MetricLatency]),
 		LatencyRoute: make(map[string]LatencyStats, 3),
+		Late:         latencyStats(s.Histograms[MetricLate]),
 	}
 	if rep.WallSeconds > 0 {
 		rep.AchievedRPS = float64(rep.Sent) / rep.WallSeconds
@@ -180,7 +174,7 @@ func (r *Runner) buildReport(wall time.Duration, before, after serverMetrics, re
 	r.mu.Unlock()
 
 	rec := Reconciliation{Enabled: reconOK, TolerancePct: ReconcileTolerancePct}
-	rec.ClientReached = rep.Sent - rep.Dropped - rep.NetErr
+	rec.ClientReached = rep.Sent - rep.NetErr
 	if reconOK {
 		for _, route := range []string{RouteEvaluate, RouteSweep, RouteFleet} {
 			rec.ServerHandled += after.RequestsTotal[route] - before.RequestsTotal[route]
@@ -205,12 +199,12 @@ func (r *Runner) Deltas() []obs.WindowDelta { return r.win.Deltas() }
 
 // WriteSummary renders the human-readable run summary.
 func (rep *Report) WriteSummary(w io.Writer) {
-	fmt.Fprintf(w, "rampload: %s  profile=%s  mix=%s  seed=%d  mode=%s\n",
-		rep.Target, rep.Profile, rep.Mix, rep.Seed, rep.Mode)
+	fmt.Fprintf(w, "rampload: %s  profile=%s  mix=%s  seed=%d\n",
+		rep.Target, rep.Profile, rep.Mix, rep.Seed)
 	fmt.Fprintf(w, "  wall %.2fs  sent %d (%.1f/s)  windows %d\n",
 		rep.WallSeconds, rep.Sent, rep.AchievedRPS, len(rep.Windows))
-	fmt.Fprintf(w, "  ok %d  shed(429) %d  timeout(504) %d  canceled(499) %d  http_err %d  net_err %d  dropped %d\n",
-		rep.OK, rep.Shed, rep.Timeout, rep.Canceled, rep.HTTPErr, rep.NetErr, rep.Dropped)
+	fmt.Fprintf(w, "  ok %d  shed(429) %d  timeout(504) %d  canceled(499) %d  http_err %d  net_err %d\n",
+		rep.OK, rep.Shed, rep.Timeout, rep.Canceled, rep.HTTPErr, rep.NetErr)
 	writeLat := func(name string, ls LatencyStats) {
 		if ls.Count == 0 {
 			return
@@ -222,6 +216,7 @@ func (rep *Report) WriteSummary(w io.Writer) {
 	for _, route := range []string{RouteEvaluate, RouteSweep, RouteFleet} {
 		writeLat("  "+route, rep.LatencyRoute[route])
 	}
+	writeLat("late", rep.Late)
 	if rep.Reconcile.Enabled {
 		verdict := "ok"
 		if !rep.Reconcile.Pass {
@@ -241,12 +236,11 @@ func (rep *Report) WriteSummary(w io.Writer) {
 
 // DefaultObjectives is the built-in SLO set rampload gates on when no
 // objectives file is given: tail latency bounded at two seconds, load
-// shedding (server 429s plus client-side drops) under 5%, and hard
-// errors (transport failures, unexpected statuses, 504s) under 1%.
+// shedding (server 429s) under 5%, and hard errors (transport failures, unexpected statuses, 504s) under 1%.
 func DefaultObjectives() []slo.Objective {
 	return []slo.Objective{
 		{Name: "p99-latency", Hist: MetricLatency, P: 0.99, MaxUS: 2e6},
-		{Name: "shed-ratio", Bad: []string{MetricShed, MetricDropped}, Total: MetricSent, MaxRatio: 0.05},
+		{Name: "shed-ratio", Bad: []string{MetricShed}, Total: MetricSent, MaxRatio: 0.05},
 		{Name: "error-ratio", Bad: []string{MetricHTTPErr, MetricNetErr, MetricTimeout}, Total: MetricSent, MaxRatio: 0.01},
 	}
 }
@@ -266,25 +260,22 @@ func WritePlan(w io.Writer, seed int64, requests int, p Profile, m Mix) error {
 	if m.Evaluate+m.Sweep+m.Fleet <= 0 {
 		return fmt.Errorf("load: plan mix must have positive total weight")
 	}
-	sched := newSchedule(p, seed)
-	smp := newSampler(m, seed, nil)
+	arr := newStream(seed, requests, p, m)
 	h := fnv.New64a()
 	routeCount := map[string]int{}
 	appCount := map[string]int{}
 	var winCounts []int
 	var last time.Duration
-	for i := 0; i < requests; i++ {
-		off := sched.next()
-		req := smp.sample()
-		fmt.Fprintf(h, "%d %s %s\n", off.Nanoseconds(), req.route, req.body)
-		routeCount[req.route]++
-		appCount[req.app]++
-		win := int(off / time.Second)
+	for a, ok := arr.Next(); ok; a, ok = arr.Next() {
+		fmt.Fprintf(h, "%d %s %s\n", a.Due.Nanoseconds(), a.Route, a.Body)
+		routeCount[a.Route]++
+		appCount[arr.app]++
+		win := int(a.Due / time.Second)
 		for len(winCounts) <= win {
 			winCounts = append(winCounts, 0)
 		}
 		winCounts[win]++
-		last = off
+		last = a.Due
 	}
 	fmt.Fprintf(w, "rampload plan: seed=%d requests=%d profile=%s mix=%s\n",
 		seed, requests, p.String(), m.String())

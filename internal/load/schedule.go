@@ -247,16 +247,12 @@ var corpusApps = []string{
 
 // sampler draws (route, body) pairs from the seeded sampler stream.
 type sampler struct {
-	r    splitmix.Stream
-	mix  Mix
-	apps []string
+	r   splitmix.Stream
+	mix Mix
 }
 
-func newSampler(m Mix, seed int64, apps []string) *sampler {
-	if len(apps) == 0 {
-		apps = corpusApps
-	}
-	return &sampler{r: newRNG(seed, saltSampler), mix: m, apps: apps}
+func newSampler(m Mix, seed int64) *sampler {
+	return &sampler{r: newRNG(seed, saltSampler), mix: m}
 }
 
 // sample draws the next request. Draw order is fixed (route, app, then
@@ -265,7 +261,7 @@ func newSampler(m Mix, seed int64, apps []string) *sampler {
 func (s *sampler) sample() request {
 	total := s.mix.Evaluate + s.mix.Sweep + s.mix.Fleet
 	u := s.r.Uniform() * total
-	app := s.apps[s.r.Intn(len(s.apps))]
+	app := corpusApps[s.r.Intn(len(corpusApps))]
 	switch {
 	case u < s.mix.Evaluate:
 		tq := tqualGrid[s.r.Intn(len(tqualGrid))]
@@ -288,4 +284,29 @@ func (s *sampler) sample() request {
 			body: fmt.Sprintf(`{"app":%q,"chips":2000,"seed":%d}`, app, seed),
 		}
 	}
+}
+
+// stream is a run's seeded arrivals: the schedule's offsets zipped with
+// the sampler's requests, n of them. Run sends it and WritePlan hashes
+// it, so a plan describes exactly what a run with the same flags sends.
+type stream struct {
+	sched *schedule
+	smp   *sampler
+	left  int
+	app   string // the application the last arrival's body names
+}
+
+func newStream(seed int64, n int, p Profile, m Mix) *stream {
+	return &stream{sched: newSchedule(p, seed), smp: newSampler(m, seed), left: n}
+}
+
+// Next implements Arrivals.
+func (s *stream) Next() (Arrival, bool) {
+	if s.left <= 0 {
+		return Arrival{}, false
+	}
+	s.left--
+	due, req := s.sched.next(), s.smp.sample()
+	s.app = req.app
+	return Arrival{Due: due, Route: req.route, Body: req.body}, true
 }

@@ -33,6 +33,7 @@ import (
 	"net/http"
 	"time"
 
+	"ramp/internal/config"
 	"ramp/internal/exp"
 	"ramp/internal/obs"
 	"ramp/internal/profiling"
@@ -75,7 +76,7 @@ func DefaultConfig() Config {
 		QueueDepth:     64,
 		RequestTimeout: 5 * time.Minute,
 		DrainTimeout:   30 * time.Second,
-		FreqStepHz:     0.125e9,
+		FreqStepHz:     config.DefaultFreqStepHz,
 		EnablePprof:    true,
 	}
 }

@@ -12,21 +12,33 @@ const (
 	mb = 1 << 20
 )
 
-// Apps returns the nine-application suite in the paper's order:
-// three multimedia codes, three SpecInt and three SpecFP applications.
-func Apps() []Profile {
-	return []Profile{
-		MPGdec(), MP3dec(), H263enc(),
-		Bzip2(), Gzip(), Twolf(),
-		Art(), Equake(), Ammp(),
-	}
+// suite lists the nine applications' constructors in the paper's
+// order — three multimedia codes, three SpecInt and three SpecFP
+// applications — each under the name its profile carries.
+var suite = []struct {
+	name string
+	make func() Profile
+}{
+	{"MPGdec", MPGdec}, {"MP3dec", MP3dec}, {"H263enc", H263enc},
+	{"bzip2", Bzip2}, {"gzip", Gzip}, {"twolf", Twolf},
+	{"art", Art}, {"equake", Equake}, {"ammp", Ammp},
 }
 
-// AppByName returns the built-in profile with the given name.
+// Apps returns the nine-application suite in the paper's order.
+func Apps() []Profile {
+	out := make([]Profile, len(suite))
+	for i, app := range suite {
+		out[i] = app.make()
+	}
+	return out
+}
+
+// AppByName returns the built-in profile with the given name, building
+// only that one.
 func AppByName(name string) (Profile, error) {
-	for _, p := range Apps() {
-		if p.Name == name {
-			return p, nil
+	for _, app := range suite {
+		if app.name == name {
+			return app.make(), nil
 		}
 	}
 	return Profile{}, fmt.Errorf("trace: unknown application %q", name)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -256,6 +257,24 @@ func TestAppByName(t *testing.T) {
 	}
 	if _, err := AppByName("nosuch"); err == nil {
 		t.Fatal("AppByName accepted unknown name")
+	}
+}
+
+// TestAppByNameMatchesApps holds every lookup to the suite's own entry:
+// the constructor list's names must be the names the profiles carry.
+func TestAppByNameMatchesApps(t *testing.T) {
+	for _, p := range Apps() {
+		got, err := AppByName(p.Name)
+		if err != nil {
+			t.Fatalf("AppByName(%q): %v", p.Name, err)
+		}
+		if !reflect.DeepEqual(got, p) {
+			t.Errorf("AppByName(%q) differs from its Apps() entry", p.Name)
+		}
+	}
+	_, err := AppByName("nosuch")
+	if want := `trace: unknown application "nosuch"`; err == nil || err.Error() != want {
+		t.Errorf("unknown name: err %v, want %q", err, want)
 	}
 }
 

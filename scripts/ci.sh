@@ -11,7 +11,9 @@
 # status is the number of failed lanes. The obscheck lane exercises the
 # observability layer (-trace/-stats on a real run, trace validation,
 # obsguard). The perfbench lane vets and tests the benchmark harness, a
-# module of its own that `./...` does not reach.
+# module of its own that `./...` does not reach. The cross-build lane
+# builds for darwin and windows, which compile the non-Linux halves of
+# build-constrained files (the load pacer's sleep).
 set -u
 cd "$(dirname "$0")/.."
 
@@ -45,9 +47,14 @@ perfbench_checks() {
 	(cd perfbench && go vet . && go test .)
 }
 
+cross_build() {
+	GOOS=darwin go build ./... && GOOS=windows go build ./...
+}
+
 lane "gofmt" check_gofmt
 lane "go vet" go vet ./...
 lane "go build" go build ./...
+lane "cross-build" cross_build
 lane "perfbench" perfbench_checks
 lane "go test" go test ./...
 lane "go test -tags rampdebug" go test -tags rampdebug ./...

@@ -6,8 +6,8 @@
 #      (the plan embeds an FNV-1a stream hash, so one flipped arrival or
 #      body would show up here);
 #   2. a short deterministic burst against a quick-mode rampserve with
-#      the built-in (generous) objectives must exit 0 and reconcile
-#      client counts against the server's /metrics;
+#      the built-in (generous) objectives must exit 0, reconcile client
+#      counts against the server's /metrics and report lateness;
 #   3. an impossible objectives file against the same server must make
 #      rampload exit exactly 3 — the CI-visible SLO-breach code;
 #   4. the metrics stream: one curl'd NDJSON frame with a request_id,
@@ -63,14 +63,15 @@ for _ in $(seq 1 100); do
 done
 [ -n "${addr}" ] || { echo "FAIL: rampserve never reported its address" >&2; exit 1; }
 
-step "warm: closed-loop pass over the burst's exact request stream"
-# The sampler is seed-deterministic, so a closed-loop run with the same
-# seed and count touches exactly the cache keys the gated burst will
-# hit. Warming first makes the burst measure the cache-warm steady
-# state a resident service actually serves — and keeps this lane
-# honest on one-core CI runners, where a cold sweep costs seconds.
+step "warm: saturating pass over the burst's exact request stream"
+# The sampler is seed-deterministic, so a run with the same seed and
+# count touches exactly the cache keys the gated burst will hit; at a
+# rate far above the server's, its two senders go back to back.
+# Warming first makes the burst measure the cache-warm steady state a
+# resident service actually serves — and keeps this lane honest on
+# one-core CI runners, where a cold sweep costs seconds.
 "${bindir}/rampload" -url "http://${addr}" -seed 11 -n 600 \
-	-closed -workers 2 -window -1ms >"${logdir}/warm.out" 2>&1 || {
+	-profile constant:1000000 -workers 2 -window -1ms >"${logdir}/warm.out" 2>&1 || {
 	echo "FAIL: warmup run exited non-zero" >&2
 	cat "${logdir}/warm.out" >&2
 	exit 1
@@ -89,6 +90,12 @@ step "burst: deterministic open-loop run passes the default SLO gate"
 }
 grep -q '"achieved_rps"' "${logdir}/load.json"
 grep -q '"pass": true' "${logdir}/load.json"
+# Every send's lateness is reported, and no arrival is ever dropped.
+grep -q '"late": {' "${logdir}/load.json"
+if grep -q '"dropped"' "${logdir}/load.json"; then
+	echo "FAIL: the report still carries a dropped count" >&2
+	exit 1
+fi
 # Windows streamed: at least one NDJSON frame with a latency estimate.
 grep -q '"p50_us"' "${logdir}/frames.ndjson"
 
