@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -52,20 +53,11 @@ func main() {
 	opts.Seed = *seed
 	env := exp.NewEnv(opts).Instrument(rt.Tracer, rt.Metrics)
 
-	table, err := sweep(env, ns, *tqual, *epochs)
+	table, err := figures.ManycoreSweep(context.Background(), env, ns, *tqual, *epochs)
 	if err != nil {
 		rt.Fatal("sweep failed", err)
 	}
 	table.Write(os.Stdout)
-}
-
-// sweep runs the standard figures driver, optionally overriding the
-// scheduling-epoch count per die size.
-func sweep(env *exp.Env, ns []int, tqualK float64, epochs int) (figures.ManycoreTable, error) {
-	if epochs <= 0 {
-		return figures.ManycoreSweep(env, ns, tqualK)
-	}
-	return figures.ManycoreSweepEpochs(env, ns, tqualK, epochs)
 }
 
 // parseCores parses the -cores list.

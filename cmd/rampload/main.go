@@ -131,7 +131,7 @@ func run() int {
 	}
 
 	if len(objectives) > 0 {
-		results, err := slo.Evaluate(objectives, runner.Snapshot(), runner.Deltas())
+		results, err := slo.Evaluate(objectives, runner.Snapshot(), runner.Windows())
 		if err != nil {
 			return fail(err)
 		}

@@ -291,38 +291,3 @@ func ArchConfigs() []Proc {
 	}
 	return out
 }
-
-// OnFraction returns, for each structure class that the microarchitectural
-// adaptations can power down, the powered-on fraction of the structure
-// relative to the base configuration. Powered-down area contributes no
-// electromigration or TDDB failures (Section 6.1) and no power.
-type OnFraction struct {
-	Window float64
-	IntALU float64
-	FPU    float64
-	IntRF  float64
-	FPRF   float64
-	LSQ    float64
-}
-
-// OnFractions computes the powered-on fractions of p relative to base.
-func OnFractions(p, base Proc) OnFraction {
-	frac := func(a, b int) float64 {
-		if b == 0 {
-			return 1
-		}
-		f := float64(a) / float64(b)
-		if f > 1 {
-			f = 1
-		}
-		return f
-	}
-	return OnFraction{
-		Window: frac(p.WindowSize, base.WindowSize),
-		IntALU: frac(p.IntALUs, base.IntALUs),
-		FPU:    frac(p.FPUs, base.FPUs),
-		IntRF:  frac(p.IntRegs, base.IntRegs),
-		FPRF:   frac(p.FPRegs, base.FPRegs),
-		LSQ:    frac(p.MemQueueSize, base.MemQueueSize),
-	}
-}

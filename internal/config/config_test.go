@@ -2,9 +2,7 @@ package config
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestBaseMatchesTable1(t *testing.T) {
@@ -199,48 +197,5 @@ func TestWithOperatingPoint(t *testing.T) {
 	p2 := p.WithOperatingPoint(3e9)
 	if p2.Name != "base@3.00GHz" {
 		t.Fatalf("name = %q", p2.Name)
-	}
-}
-
-func TestOnFractions(t *testing.T) {
-	base := Base()
-	of := OnFractions(base, base)
-	if of.Window != 1 || of.IntALU != 1 || of.FPU != 1 {
-		t.Fatalf("base on-fractions not 1: %+v", of)
-	}
-	small := base
-	small.WindowSize = 32
-	small.IntALUs = 2
-	small.FPUs = 1
-	of = OnFractions(small, base)
-	if of.Window != 0.25 {
-		t.Fatalf("window fraction = %v", of.Window)
-	}
-	if math.Abs(of.IntALU-2.0/6.0) > 1e-12 {
-		t.Fatalf("ALU fraction = %v", of.IntALU)
-	}
-	if of.FPU != 0.25 {
-		t.Fatalf("FPU fraction = %v", of.FPU)
-	}
-}
-
-// Property: on-fractions are always in (0, 1] for valid adaptations.
-func TestOnFractionsProperty(t *testing.T) {
-	base := Base()
-	f := func(w, a, fp uint8) bool {
-		p := base
-		p.WindowSize = 1 + int(w)%base.WindowSize
-		p.IntALUs = 1 + int(a)%base.IntALUs
-		p.FPUs = 1 + int(fp)%base.FPUs
-		of := OnFractions(p, base)
-		for _, x := range []float64{of.Window, of.IntALU, of.FPU, of.IntRF, of.FPRF, of.LSQ} {
-			if x <= 0 || x > 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(7))}); err != nil {
-		t.Fatal(err)
 	}
 }

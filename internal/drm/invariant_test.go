@@ -1,9 +1,14 @@
 package drm
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"ramp/internal/config"
 	"ramp/internal/exp"
 	"ramp/internal/trace"
 )
@@ -87,4 +92,118 @@ func TestTqualGridInvariants(t *testing.T) {
 			}
 		}
 	}
+}
+
+// dvsCurve is one app × architecture pair evaluated at every point of
+// the 0.125 GHz DVS grid, in rising frequency.
+type dvsCurve struct {
+	label   string
+	procs   []config.Proc
+	results []exp.Result
+}
+
+// dvsSample evaluates, once per test binary, a seeded sample of six app
+// × architecture pairs along the DVS grid at quick options: two art
+// pairs, whose BIPS dips most often on the memory-latency quantum, and
+// four drawn from the other apps (126 evaluations).
+var dvsSample = sync.OnceValues(func() (*exp.Env, []dvsCurve) {
+	env := exp.NewEnv(exp.QuickOptions())
+	rng := rand.New(rand.NewSource(2))
+	archs := config.ArchConfigs()
+	others := trace.Apps()
+	apps := []trace.Profile{trace.Art(), trace.Art()}
+	for len(apps) < 6 {
+		if a := others[rng.Intn(len(others))]; a.Name != "art" {
+			apps = append(apps, a)
+		}
+	}
+	qual := env.Qualification(400)
+	var curves []dvsCurve
+	var jobs []exp.EvalJob
+	for _, app := range apps {
+		arch := archs[rng.Intn(len(archs))]
+		c := dvsCurve{label: app.Name + "/" + arch.Name}
+		for _, f := range config.DVSFrequencies(config.DefaultFreqStepHz) {
+			p := arch.WithOperatingPoint(f)
+			c.procs = append(c.procs, p)
+			jobs = append(jobs, exp.EvalJob{App: app, Proc: p, Qual: qual})
+		}
+		curves = append(curves, c)
+	}
+	results, err := env.EvaluateAllCtx(context.Background(), jobs)
+	if err != nil {
+		panic(err)
+	}
+	for i := range curves {
+		n := len(curves[i].procs)
+		curves[i].results, results = results[:n], results[n:]
+	}
+	return env, curves
+})
+
+// TestDVSFITNeverFalls: RAMP §3's EM, SM and TDDB rates rise with
+// voltage, frequency and temperature, and TC's with temperature; a
+// higher DVS point raises V and f, and with them power and temperature.
+// So at each Figure 2 qualification temperature an app's FIT never
+// falls as its DVS point rises.
+func TestDVSFITNeverFalls(t *testing.T) {
+	if testing.Short() {
+		t.Skip("126 evaluations; skipped in -short (race lane)")
+	}
+	env, curves := dvsSample()
+	for _, tq := range []float64{400, 370, 345, 325} {
+		qual := env.Qualification(tq)
+		for _, c := range curves {
+			prev := 0.0
+			for k, r := range c.results {
+				a, err := env.Requalify(r, qual)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a.TotalFIT < prev {
+					t.Errorf("%s at %v K: FIT %v at %s below %v one step down", c.label, tq, a.TotalFIT, c.procs[k].Name, prev)
+				}
+				prev = a.TotalFIT
+			}
+		}
+	}
+}
+
+// memLatencySec is the memory latency the simulator charges at p's
+// clock: MemLatencySec rounded up to whole cycles.
+func memLatencySec(p config.Proc) float64 {
+	return math.Ceil(p.MemLatencySec*p.FreqHz) / p.FreqHz
+}
+
+// TestDVSBIPSFallsOnlyOnMemoryQuantum: a faster clock shortens every
+// core latency, so BIPS never falls across a DVS step unless the memory
+// latency, a whole number of cycles, rises in nanoseconds there. It does
+// at four of the grid's twenty steps (2.625→2.75, 3.25→3.375, 4.0→4.125
+// and 4.625→4.75 GHz), and art's BIPS dips on them (EXPERIMENTS.md,
+// Known deviations); at least one sampled step must dip on one, so the
+// first check is not vacuous.
+func TestDVSBIPSFallsOnlyOnMemoryQuantum(t *testing.T) {
+	if testing.Short() {
+		t.Skip("126 evaluations; skipped in -short (race lane)")
+	}
+	_, curves := dvsSample()
+	var dips []string
+	for _, c := range curves {
+		for k := 1; k < len(c.results); k++ {
+			lo, hi := c.procs[k-1], c.procs[k]
+			if c.results[k].BIPS >= c.results[k-1].BIPS {
+				continue
+			}
+			step := fmt.Sprintf("%s %s→%s: BIPS %v→%v", c.label, lo.Name, hi.Name, c.results[k-1].BIPS, c.results[k].BIPS)
+			if memLatencySec(hi) <= memLatencySec(lo) {
+				t.Errorf("%s, with the memory latency not rising (%v→%v s)", step, memLatencySec(lo), memLatencySec(hi))
+				continue
+			}
+			dips = append(dips, step)
+		}
+	}
+	if len(dips) == 0 {
+		t.Fatal("no sampled step dipped on a memory-latency quantum step")
+	}
+	t.Logf("%d dips on quantum steps, e.g. %s", len(dips), dips[0])
 }

@@ -99,16 +99,11 @@ type Table2Row struct {
 func Table2(e *exp.Env) ([]Table2Row, error) {
 	ctx, span := figSpan(context.Background(), e, "figures.table2")
 	defer span.End()
-	apps := trace.Apps()
-	qual := e.Qualification(400)
-	jobs := make([]exp.EvalJob, len(apps))
-	for i, a := range apps {
-		jobs[i] = exp.EvalJob{App: a, Proc: e.Base, Qual: qual}
-	}
-	results, err := e.EvaluateAllCtx(ctx, jobs)
+	results, err := e.EvaluateSuiteCtx(ctx, e.Qualification(400))
 	if err != nil {
 		return nil, err
 	}
+	apps := trace.Apps()
 	rows := make([]Table2Row, len(apps))
 	for i, a := range apps {
 		rows[i] = Table2Row{

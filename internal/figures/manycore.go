@@ -34,34 +34,20 @@ type ManycoreTable struct {
 }
 
 // ManycoreSweep runs the three scheduling policies over the given die
-// sizes at one qualification temperature. Within a die size the
-// policies share one Simulator — identical workload groups, identical
-// epochs — so lifetime is compared at identical performance; across die
-// sizes the suite evaluations come from the env cache, so the whole
-// sweep simulates each application once.
-func ManycoreSweep(e *exp.Env, nCores []int, tqualK float64) (ManycoreTable, error) {
-	return ManycoreSweepCtx(context.Background(), e, nCores, tqualK)
-}
-
-// ManycoreSweepEpochs is ManycoreSweep with an explicit scheduling-epoch
-// count per die size (0 keeps the default of twice the evaluation
-// epochs).
-func ManycoreSweepEpochs(e *exp.Env, nCores []int, tqualK float64, epochs int) (ManycoreTable, error) {
-	return manycoreSweepCtx(context.Background(), e, nCores, tqualK, epochs)
-}
-
-// ManycoreSweepCtx is ManycoreSweep with cancellation, checked per die
-// size, per policy and per scheduling epoch.
-func ManycoreSweepCtx(ctx context.Context, e *exp.Env, nCores []int, tqualK float64) (ManycoreTable, error) {
-	return manycoreSweepCtx(ctx, e, nCores, tqualK, 0)
-}
-
-func manycoreSweepCtx(ctx context.Context, e *exp.Env, nCores []int, tqualK float64, epochs int) (ManycoreTable, error) {
+// sizes at one qualification temperature, with epochs scheduling
+// epochs per die size (0 keeps the default of twice the evaluation
+// epochs). Within a die size the policies share one Simulator —
+// identical workload groups, identical epochs — so lifetime is compared
+// at identical performance; across die sizes the suite evaluations come
+// from the env cache, so the whole sweep simulates each application
+// once. Cancellation is checked per die size, per policy and per
+// scheduling epoch.
+func ManycoreSweep(ctx context.Context, e *exp.Env, nCores []int, tqualK float64, epochs int) (ManycoreTable, error) {
 	ctx, span := figSpan(ctx, e, "figures.manycore")
 	defer span.End()
 	t := ManycoreTable{TqualK: tqualK}
 	var err error
-	t.BaselineFIT, t.BaselineYrs, err = sched.SingleCoreDRMCtx(ctx, e, tqualK)
+	t.BaselineFIT, t.BaselineYrs, err = sched.SingleCoreDRM(ctx, e, tqualK)
 	if err != nil {
 		return ManycoreTable{}, err
 	}

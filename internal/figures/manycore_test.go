@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // rendered table mentioning every policy.
 func TestManycoreSweep(t *testing.T) {
 	env := exp.NewEnv(exp.QuickOptions())
-	table, err := ManycoreSweepEpochs(env, []int{1, 2}, 400, 4)
+	table, err := ManycoreSweep(context.Background(), env, []int{1, 2}, 400, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

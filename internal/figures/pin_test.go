@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"encoding/binary"
 	"hash"
 	"hash/fnv"
@@ -101,7 +102,7 @@ func TestControllerTraceDigest(t *testing.T) {
 func TestManycoreSweepDigest(t *testing.T) {
 	const want = uint64(0x5d2cca88c3cbd9fb)
 	env := exp.NewEnv(exp.QuickOptions())
-	table, err := ManycoreSweepEpochs(env, []int{1, 2, 4}, 400, 4)
+	table, err := ManycoreSweep(context.Background(), env, []int{1, 2, 4}, 400, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

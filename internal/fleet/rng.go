@@ -47,17 +47,10 @@ func uniform(x uint64) float64 {
 	return (float64(x) + 0.5) * (1.0 / (1 << 53))
 }
 
-// normal returns the standard normal of the uniforms u1, u2
-// (Box-Muller, cosine branch). Every draw takes exactly two uniforms,
-// so draw counts stay static.
-func normal(u1, u2 float64) float64 {
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
 // lognormal returns the mean-one lognormal of the uniforms u1, u2 with
 // log-scale sigma: exp(sigma·N − sigma²/2) has expectation exactly 1,
 // so variation multipliers spread the fleet without shifting its
 // average rate.
 func lognormal(u1, u2, sigma float64) float64 {
-	return math.Exp(sigma*normal(u1, u2) - sigma*sigma/2)
+	return math.Exp(sigma*splitmix.Normal(u1, u2) - sigma*sigma/2)
 }

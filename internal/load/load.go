@@ -63,9 +63,6 @@ type Config struct {
 	// WindowEvery is the telemetry window length (default 1s; < 0
 	// disables windowed telemetry).
 	WindowEvery time.Duration
-	// WindowCap bounds retained windows for the SLO gate and the report
-	// (default 600 — ten minutes of 1 s windows).
-	WindowCap int
 	// NDJSON, when non-nil, receives one JSON line per window.
 	NDJSON io.Writer
 	// Log receives progress diagnostics (nil = discard).
@@ -98,9 +95,6 @@ func (c *Config) normalize() error {
 	}
 	if c.WindowEvery == 0 {
 		c.WindowEvery = time.Second
-	}
-	if c.WindowCap <= 0 {
-		c.WindowCap = 600
 	}
 	if c.Log == nil {
 		c.Log = obs.Discard()
@@ -152,17 +146,22 @@ type Arrivals interface {
 	Next() (a Arrival, ok bool)
 }
 
+// windowCap is how many of the latest windows a Runner retains for the
+// SLO gate: ten minutes of 1 s windows.
+const windowCap = 600
+
 // Runner drives one load run. Construct with New; Run may be called
 // once.
 type Runner struct {
 	cfg    Config
 	reg    *obs.Registry
 	ins    *instruments
-	win    *obs.Window
 	client *http.Client
 
-	mu     sync.Mutex
-	frames []WindowFrame
+	mu      sync.Mutex
+	windows []obs.Snapshot // cumulative snapshots at the latest window boundaries, oldest first
+	lastAt  time.Time      // when the newest of them was taken
+	frames  []WindowFrame
 }
 
 // New validates cfg and builds a Runner.
@@ -178,7 +177,6 @@ func New(cfg Config) (*Runner, error) {
 		cfg: cfg,
 		reg: reg,
 		ins: newInstruments(reg),
-		win: obs.NewWindow(cfg.WindowCap, nil),
 		client: &http.Client{
 			Timeout: cfg.Timeout,
 			Transport: &http.Transport{
@@ -229,15 +227,27 @@ func (r *Runner) do(ctx context.Context, due time.Time, a Arrival) {
 	}
 }
 
-// emitWindow advances the telemetry window, retains the frame and
-// writes the NDJSON line.
+// emitWindow records the registry's cumulative snapshot at a window
+// boundary, keeping the last windowCap windows' worth. Every call after
+// the first (the run-start baseline) closes a window: its frame is the
+// newest snapshot minus the one before, retained for the report and
+// written as an NDJSON line.
 func (r *Runner) emitWindow(enc *json.Encoder) {
-	d := r.win.Observe(r.reg)
-	f := frameFromDelta(d)
+	cur, now := r.reg.Snapshot(), time.Now()
 	r.mu.Lock()
-	r.frames = append(r.frames, f)
+	n := len(r.windows)
+	var f WindowFrame
+	if n > 0 {
+		f = newFrame(int64(len(r.frames))+1, now.Sub(r.lastAt).Seconds(), cur.Delta(r.windows[n-1]))
+		r.frames = append(r.frames, f)
+	}
+	r.windows = append(r.windows, cur)
+	if len(r.windows) > windowCap+1 {
+		r.windows = r.windows[1:]
+	}
+	r.lastAt = now
 	r.mu.Unlock()
-	if enc != nil {
+	if n > 0 && enc != nil {
 		_ = enc.Encode(f) // a failed telemetry write never fails the run
 	}
 }
@@ -266,7 +276,7 @@ func (r *Runner) RunArrivals(ctx context.Context, arr Arrivals) (*Report, error)
 	var winWG sync.WaitGroup
 	stopWin := make(chan struct{})
 	if r.cfg.WindowEvery > 0 {
-		r.win.Prime(r.reg.Snapshot())
+		r.emitWindow(nil) // the baseline
 		tick := time.NewTicker(r.cfg.WindowEvery)
 		winWG.Add(1)
 		go func() {

@@ -290,7 +290,6 @@ func testConfig(url string, n int) Config {
 		Mix:         Mix{Evaluate: 8, Sweep: 1, Fleet: 1},
 		Timeout:     10 * time.Second,
 		WindowEvery: 50 * time.Millisecond,
-		WindowCap:   100,
 	}
 }
 
@@ -657,7 +656,7 @@ func TestRunnerSLOGate(t *testing.T) {
 		if _, err := r.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		res, err := slo.Evaluate(DefaultObjectives(), r.Snapshot(), r.Deltas())
+		res, err := slo.Evaluate(DefaultObjectives(), r.Snapshot(), r.Windows())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -672,6 +671,55 @@ func TestRunnerSLOGate(t *testing.T) {
 	defer hsBad.Close()
 	if res := run(hsBad.URL); !slo.Breached(res) {
 		t.Errorf("100%% shed run did not breach: %+v", res)
+	}
+}
+
+// TestRunnerKeepsLastWindows: the first boundary is the baseline and
+// closes no window; each later one closes a window numbered from 1 whose
+// frame is the newest snapshot minus the one before; the Runner keeps
+// the boundaries of the last windowCap windows, so the SLO gate sees
+// that many.
+func TestRunnerKeepsLastWindows(t *testing.T) {
+	r, err := New(testConfig("http://127.0.0.1:1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ndjson bytes.Buffer
+	enc := json.NewEncoder(&ndjson)
+	r.emitWindow(enc)
+	if ndjson.Len() != 0 || len(r.frames) != 0 {
+		t.Fatalf("the baseline wrote a frame: %q", ndjson.String())
+	}
+	const n = windowCap + 5
+	for k := int64(1); k <= n; k++ {
+		r.ins.sent.Add(k)
+		r.emitWindow(enc)
+	}
+	if lines := strings.Count(ndjson.String(), "\n"); lines != n {
+		t.Errorf("%d NDJSON lines, want %d", lines, n)
+	}
+	for i, f := range r.frames {
+		if k := int64(i) + 1; f.Seq != k || f.Sent != k || f.Seconds < 0 {
+			t.Fatalf("frame %d = %+v, want seq and sent %d", i, f, k)
+		}
+	}
+	ws := r.Windows()
+	if len(ws) != windowCap+1 {
+		t.Fatalf("%d boundaries retained, want %d", len(ws), windowCap+1)
+	}
+	var tail int64
+	for _, f := range r.frames[n-windowCap:] {
+		tail += f.Sent
+	}
+	if got := ws[windowCap].Delta(ws[0]).Counters[MetricSent]; got != tail {
+		t.Errorf("retained span sent %d, frames sum to %d", got, tail)
+	}
+	res, err := slo.Evaluate(DefaultObjectives(), r.Snapshot(), ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Windows != windowCap {
+		t.Errorf("SLO gate saw %d windows, want %d", res[0].Windows, windowCap)
 	}
 }
 

@@ -34,11 +34,12 @@ type WindowFrame struct {
 	P99US float64 `json:"p99_us"`
 }
 
-func frameFromDelta(d obs.WindowDelta) WindowFrame {
-	c := d.Delta.Counters
+// newFrame builds window seq's frame from its length and its delta.
+func newFrame(seq int64, seconds float64, d obs.Snapshot) WindowFrame {
+	c := d.Counters
 	f := WindowFrame{
-		Seq:     d.Seq,
-		Seconds: d.Seconds(),
+		Seq:     seq,
+		Seconds: seconds,
 
 		Sent:     c[MetricSent],
 		OK:       c[MetricOK],
@@ -51,7 +52,7 @@ func frameFromDelta(d obs.WindowDelta) WindowFrame {
 	if f.Seconds > 0 {
 		f.RPS = float64(f.Sent) / f.Seconds
 	}
-	if h := d.Delta.Histograms[MetricLatency]; h.Count > 0 {
+	if h := d.Histograms[MetricLatency]; h.Count > 0 {
 		f.P50US = h.Quantile(0.50)
 		f.P95US = h.Quantile(0.95)
 		f.P99US = h.Quantile(0.99)
@@ -194,8 +195,14 @@ func (r *Runner) buildReport(wall time.Duration, before, after serverMetrics, re
 // at Run start) — what the SLO gate scores overall compliance against.
 func (r *Runner) Snapshot() obs.Snapshot { return r.reg.Snapshot() }
 
-// Deltas returns the retained window deltas for the SLO burn gate.
-func (r *Runner) Deltas() []obs.WindowDelta { return r.win.Deltas() }
+// Windows returns the cumulative snapshots at the retained window
+// boundaries, oldest first, for the SLO burn gate: the run-start
+// baseline and one per window, at most the last windowCap windows.
+func (r *Runner) Windows() []obs.Snapshot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]obs.Snapshot(nil), r.windows...)
+}
 
 // WriteSummary renders the human-readable run summary.
 func (rep *Report) WriteSummary(w io.Writer) {

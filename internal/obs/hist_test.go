@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 // synthetic histogram: 2 obs in [0,1), 2 in [1,2), 4 in [2,4), 2 in [4,8).
@@ -152,61 +151,5 @@ func TestHistogramDeltaTrimmedPrev(t *testing.T) {
 	}
 	if _, ok := d.Buckets["1"]; ok {
 		t.Errorf("delta bucket le=1 should be omitted (zero)")
-	}
-}
-
-// fakeClock yields t0, t0+1s, t0+2s, ... on successive calls.
-func fakeClock() func() time.Time {
-	t0 := time.Unix(1000, 0)
-	n := 0
-	return func() time.Time {
-		t := t0.Add(time.Duration(n) * time.Second)
-		n++
-		return t
-	}
-}
-
-func TestWindowRingAndRates(t *testing.T) {
-	reg := NewRegistry()
-	w := NewWindow(2, fakeClock())
-	w.Prime(reg.Snapshot()) // t=0
-
-	reg.Counter("reqs").Add(10)
-	d1 := w.Observe(reg) // t=1
-	if d1.Seq != 1 || d1.Delta.Counters["reqs"] != 10 {
-		t.Fatalf("first delta = %+v", d1)
-	}
-	if sec := d1.Seconds(); sec != 1 {
-		t.Errorf("window length = %gs, want 1s", sec)
-	}
-
-	reg.Counter("reqs").Add(20)
-	w.Observe(reg) // t=2
-	reg.Counter("reqs").Add(30)
-	d3 := w.Observe(reg) // t=3
-	if d3.Delta.Counters["reqs"] != 30 {
-		t.Errorf("third delta = %d, want 30", d3.Delta.Counters["reqs"])
-	}
-
-	// Capacity 2: the first delta was evicted.
-	all := w.Deltas()
-	if len(all) != 2 || all[0].Seq != 2 || all[1].Seq != 3 {
-		t.Fatalf("ring = %+v, want seqs [2 3]", all)
-	}
-	if sec := all[1].End.Sub(all[0].Start).Seconds(); sec != 2 {
-		t.Errorf("retained span = %gs, want 2s", sec)
-	}
-}
-
-func TestWindowUnprimedFirstAdvance(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("c").Add(5)
-	w := NewWindow(4, fakeClock())
-	d := w.Observe(reg)
-	if d.Delta.Counters["c"] != 5 {
-		t.Errorf("unprimed first delta = %d, want 5 (vs zero baseline)", d.Delta.Counters["c"])
-	}
-	if d.Seconds() != 0 {
-		t.Errorf("unprimed first window length = %gs, want 0 (primed at first advance)", d.Seconds())
 	}
 }

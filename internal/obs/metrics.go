@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"sync"
@@ -241,12 +243,70 @@ func validMetricName(name string) bool {
 }
 
 // HistogramSnapshot is one histogram's point-in-time state. Buckets are
-// cumulative counts keyed by upper bound ("2", "4", ..., "+Inf"), the
-// Prometheus le convention; empty prefixes are omitted.
+// cumulative counts keyed by upper bound ("1", "2", "4", ..., "+Inf"),
+// the Prometheus le convention, in trimmed form: from the first
+// non-empty bucket to the first whose cumulative count reaches Count.
+// cumulative is the map's one reader and eachBucket its one writer.
 type HistogramSnapshot struct {
 	Count   int64            `json:"count"`
 	Sum     int64            `json:"sum"`
 	Buckets map[string]int64 `json:"buckets_le,omitempty"`
+}
+
+// cumulative decodes Buckets into the cumulative count at each of the
+// histogramBuckets bounds (index i is the bound 2^i, the last the
+// catch-all, which reads Count). A bound missing below the first
+// present one reads 0, and any other missing bound reads the count of
+// the nearest present bound below it — Count above the last, since the
+// trimmed form stops only once it reaches Count. Keys that name no
+// bucket bound are ignored.
+func (h HistogramSnapshot) cumulative() (c [histogramBuckets]int64) {
+	var have [histogramBuckets]bool
+	for le, n := range h.Buckets {
+		b, err := strconv.ParseInt(le, 10, 64)
+		if err != nil || b <= 0 || b&(b-1) != 0 {
+			continue
+		}
+		i := bits.TrailingZeros64(uint64(b))
+		c[i], have[i] = n, true
+	}
+	for i := 1; i < histogramBuckets-1; i++ {
+		if !have[i] {
+			c[i] = c[i-1]
+		}
+	}
+	c[histogramBuckets-1] = h.Count
+	return c
+}
+
+// eachBucket calls f, in increasing bound order, with the index, le
+// key and count of each bucket the trimmed form of the cumulative
+// counts c keeps for a histogram of count observations.
+func eachBucket(c *[histogramBuckets]int64, count int64, f func(i int, le string, cum int64)) {
+	for i, cum := range c {
+		if cum <= 0 {
+			continue
+		}
+		le := "+Inf"
+		if i < histogramBuckets-1 {
+			le = strconv.FormatInt(1<<i, 10)
+		}
+		f(i, le, cum)
+		if cum == count {
+			return // every remaining bucket repeats the total
+		}
+	}
+}
+
+// trimmedBuckets returns the trimmed le-keyed map of the cumulative
+// counts c (nil when count is not positive).
+func trimmedBuckets(c *[histogramBuckets]int64, count int64) map[string]int64 {
+	if count <= 0 {
+		return nil
+	}
+	m := make(map[string]int64)
+	eachBucket(c, count, func(_ int, le string, cum int64) { m[le] = cum })
+	return m
 }
 
 // Snapshot is a point-in-time copy of every instrument in the registry.
@@ -288,26 +348,140 @@ func (r *Registry) Snapshot() Snapshot {
 
 func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{Count: h.Count(), Sum: h.Sum()}
-	if s.Count == 0 {
-		return s
-	}
-	s.Buckets = make(map[string]int64)
+	var c [histogramBuckets]int64
 	var cum int64
-	for i := 0; i < histogramBuckets; i++ {
+	for i := range c {
 		cum += h.buckets[i].Load()
-		if cum == 0 {
+		c[i] = cum
+	}
+	s.Buckets = trimmedBuckets(&c, s.Count)
+	return s
+}
+
+// Delta returns the change from prev to s: counters and histograms
+// subtract (prev must be an earlier snapshot of the same registry);
+// gauges carry s's latest value — a gauge has no meaningful rate.
+// Instruments absent from prev (registered mid-flight) delta against
+// zero. Every telemetry window is one Delta of two cumulative
+// snapshots: rampserve's stream frames, rampload's frames and the SLO
+// gate's tails.
+func (s Snapshot) Delta(prev Snapshot) Snapshot {
+	var d Snapshot
+	if len(s.Counters) > 0 {
+		d.Counters = make(map[string]int64, len(s.Counters))
+		for name, v := range s.Counters {
+			d.Counters[name] = v - prev.Counters[name]
+		}
+	}
+	if len(s.Gauges) > 0 {
+		d.Gauges = make(map[string]int64, len(s.Gauges))
+		for name, v := range s.Gauges {
+			d.Gauges[name] = v
+		}
+	}
+	if len(s.Histograms) > 0 {
+		d.Histograms = make(map[string]HistogramSnapshot, len(s.Histograms))
+		for name, h := range s.Histograms {
+			d.Histograms[name] = h.sub(prev.Histograms[name])
+		}
+	}
+	return d
+}
+
+// sub returns the histogram delta h − prev (prev must be an earlier
+// snapshot of the same histogram, so every cumulative count of h is ≥
+// prev's). The delta is itself a well-formed HistogramSnapshot over
+// just the observations between the two snapshots, so Quantile and
+// FractionAbove work per window.
+func (h HistogramSnapshot) sub(prev HistogramSnapshot) HistogramSnapshot {
+	d := HistogramSnapshot{Count: h.Count - prev.Count, Sum: h.Sum - prev.Sum}
+	c, p := h.cumulative(), prev.cumulative()
+	for i := range c {
+		c[i] -= p[i]
+	}
+	d.Buckets = trimmedBuckets(&c, d.Count)
+	return d
+}
+
+// bucketLow returns the lower edge of the log2 bucket with upper bound
+// ub: Observe puts v in the bucket [2^(i-1), 2^i) (the first bucket,
+// upper bound 1, holds v = 0).
+func bucketLow(ub int64) float64 {
+	if ub <= 1 {
+		return 0
+	}
+	return float64(ub) / 2
+}
+
+// Quantile estimates the p-quantile (p in [0, 1]) of the observed
+// values by linear interpolation inside the log2 buckets — the same
+// estimate Prometheus' histogram_quantile computes. The estimate is
+// exact at bucket edges and within a factor of 2 anywhere else (log2
+// buckets); tests pin it against synthetic bucket contents. An empty
+// histogram returns NaN. A rank in the catch-all bucket saturates the
+// estimate at the upper bound of the highest occupied finite bucket
+// (2^62 when there is none).
+func (h HistogramSnapshot) Quantile(p float64) float64 {
+	if h.Count <= 0 {
+		return math.NaN()
+	}
+	if p < 0 {
+		p = 0
+	}
+	if p > 1 {
+		p = 1
+	}
+	rank := p * float64(h.Count)
+	c := h.cumulative()
+	var cumBelow, last float64
+	for i, n := range c[:histogramBuckets-1] {
+		cum := float64(n)
+		if cum > cumBelow {
+			ub := int64(1) << i
+			if rank <= cum {
+				low := bucketLow(ub)
+				frac := (rank - cumBelow) / (cum - cumBelow)
+				return low + frac*(float64(ub)-low)
+			}
+			last = float64(ub)
+		}
+		cumBelow = cum
+	}
+	if last > 0 {
+		return last
+	}
+	return float64(int64(1) << 62)
+}
+
+// FractionAbove estimates the fraction of observations strictly above
+// v, interpolating linearly inside the bucket containing v. This is how
+// a latency SLO ("p99 ≤ 200ms") becomes a countable bad-event rate
+// ("fraction of requests slower than 200ms must stay under 1%") for the
+// burn-rate math in internal/slo. An empty histogram returns 0.
+func (h HistogramSnapshot) FractionAbove(v float64) float64 {
+	if h.Count <= 0 {
+		return 0
+	}
+	c := h.cumulative()
+	var below, cumBelow float64
+	for i, n := range c[:histogramBuckets-1] {
+		cum := float64(n)
+		ub := int64(1) << i
+		if v >= float64(ub) {
+			below, cumBelow = cum, cum
 			continue
 		}
-		le := "+Inf"
-		if i < histogramBuckets-1 {
-			le = strconv.FormatInt(1<<i, 10)
+		low := bucketLow(ub)
+		if in := cum - cumBelow; v > low && in > 0 {
+			below = cumBelow + in*(v-low)/(float64(ub)-low)
 		}
-		s.Buckets[le] = cum
-		if cum == s.Count {
-			break // every remaining bucket repeats the total
-		}
+		break
 	}
-	return s
+	frac := 1 - below/float64(h.Count)
+	if frac < 0 {
+		return 0
+	}
+	return frac
 }
 
 // WriteSummary prints a human-readable table of every instrument,
@@ -356,24 +530,16 @@ func (r *Registry) WritePrometheus(w io.Writer, prefix string) {
 // samples. labels, when non-empty, is a rendered label set without
 // braces (e.g. `route="evaluate"`).
 func WritePromHistogram(w io.Writer, family, labels string, h HistogramSnapshot) {
-	bounds := make([]string, 0, len(h.Buckets))
-	for le := range h.Buckets {
-		if le != "+Inf" {
-			bounds = append(bounds, le)
-		}
-	}
-	sort.Slice(bounds, func(i, j int) bool {
-		a, _ := strconv.ParseInt(bounds[i], 10, 64)
-		b, _ := strconv.ParseInt(bounds[j], 10, 64)
-		return a < b
-	})
 	sep := ""
 	if labels != "" {
 		sep = ","
 	}
-	for _, le := range bounds {
-		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%s\"} %d\n", family, labels, sep, le, h.Buckets[le])
-	}
+	c := h.cumulative()
+	eachBucket(&c, h.Count, func(i int, le string, cum int64) {
+		if i < histogramBuckets-1 {
+			fmt.Fprintf(w, "%s_bucket{%s%sle=\"%s\"} %d\n", family, labels, sep, le, cum)
+		}
+	})
 	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", family, labels, sep, h.Count)
 	if labels == "" {
 		fmt.Fprintf(w, "%s_sum %d\n", family, h.Sum)

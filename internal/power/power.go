@@ -142,16 +142,28 @@ func Ones() Vector {
 	return v
 }
 
-// OnFractions converts config-level powered-on fractions to a
-// per-structure Vector. Structures the adaptations cannot gate stay at 1.
+// OnFractions returns, per structure, the powered-on fraction of p
+// relative to base: each structure the microarchitectural adaptations
+// can power down is on in proportion to its size, capped at 1, and the
+// rest stay at 1. Powered-down area contributes no electromigration or
+// TDDB failures (Section 6.1) and no power.
 func OnFractions(p, base config.Proc) Vector {
-	of := config.OnFractions(p, base)
+	frac := func(a, b int) float64 {
+		if b == 0 {
+			return 1
+		}
+		f := float64(a) / float64(b)
+		if f > 1 {
+			f = 1
+		}
+		return f
+	}
 	v := Ones()
-	v[floorplan.Window] = of.Window
-	v[floorplan.IntALU] = of.IntALU
-	v[floorplan.FPU] = of.FPU
-	v[floorplan.IntRF] = of.IntRF
-	v[floorplan.FPRF] = of.FPRF
-	v[floorplan.LSQ] = of.LSQ
+	v[floorplan.Window] = frac(p.WindowSize, base.WindowSize)
+	v[floorplan.IntALU] = frac(p.IntALUs, base.IntALUs)
+	v[floorplan.FPU] = frac(p.FPUs, base.FPUs)
+	v[floorplan.IntRF] = frac(p.IntRegs, base.IntRegs)
+	v[floorplan.FPRF] = frac(p.FPRegs, base.FPRegs)
+	v[floorplan.LSQ] = frac(p.MemQueueSize, base.MemQueueSize)
 	return v
 }

@@ -124,6 +124,49 @@ func TestOnFractionsVector(t *testing.T) {
 	}
 }
 
+func TestOnFractions(t *testing.T) {
+	base := config.Base()
+	of := OnFractions(base, base)
+	if of[floorplan.Window] != 1 || of[floorplan.IntALU] != 1 || of[floorplan.FPU] != 1 {
+		t.Fatalf("base on-fractions not 1: %+v", of)
+	}
+	small := base
+	small.WindowSize = 32
+	small.IntALUs = 2
+	small.FPUs = 1
+	of = OnFractions(small, base)
+	if of[floorplan.Window] != 0.25 {
+		t.Fatalf("window fraction = %v", of[floorplan.Window])
+	}
+	if math.Abs(of[floorplan.IntALU]-2.0/6.0) > 1e-12 {
+		t.Fatalf("ALU fraction = %v", of[floorplan.IntALU])
+	}
+	if of[floorplan.FPU] != 0.25 {
+		t.Fatalf("FPU fraction = %v", of[floorplan.FPU])
+	}
+}
+
+// Property: on-fractions are always in (0, 1] for valid adaptations.
+func TestOnFractionsProperty(t *testing.T) {
+	base := config.Base()
+	f := func(w, a, fp uint8) bool {
+		p := base
+		p.WindowSize = 1 + int(w)%base.WindowSize
+		p.IntALUs = 1 + int(a)%base.IntALUs
+		p.FPUs = 1 + int(fp)%base.FPUs
+		of := OnFractions(p, base)
+		for _, s := range []floorplan.Structure{floorplan.Window, floorplan.IntALU, floorplan.FPU, floorplan.IntRF, floorplan.FPRF, floorplan.LSQ} {
+			if x := of[s]; x <= 0 || x > 1 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(7))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: total power is monotone in activity, voltage, frequency and
 // temperature.
 func TestPowerMonotonicity(t *testing.T) {

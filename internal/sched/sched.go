@@ -608,11 +608,11 @@ func (st *runState) worstWear(engine *core.DieEngine) (idx int, wear float64) {
 	return idx, wear
 }
 
-// SingleCoreDRMCtx returns the paper's single-core baseline for the
+// SingleCoreDRM returns the paper's single-core baseline for the
 // same suite: the workload FIT value (Section 3.6 time-weighted average
 // over the nine applications on the base processor) and its MTTF in
 // years.
-func SingleCoreDRMCtx(ctx context.Context, env *exp.Env, tqualK float64) (fitValue, mttfYears float64, err error) {
+func SingleCoreDRM(ctx context.Context, env *exp.Env, tqualK float64) (fitValue, mttfYears float64, err error) {
 	suite, err := env.EvaluateSuiteCtx(ctx, env.Qualification(tqualK))
 	if err != nil {
 		return 0, 0, err

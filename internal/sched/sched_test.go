@@ -159,7 +159,7 @@ func TestN1PoliciesCoincide(t *testing.T) {
 // positive workload FIT, MTTF in a plausible range.
 func TestSingleCoreDRM(t *testing.T) {
 	env := exp.NewEnv(exp.QuickOptions())
-	fit, years, err := SingleCoreDRMCtx(context.Background(), env, 400)
+	fit, years, err := SingleCoreDRM(context.Background(), env, 400)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,11 +14,11 @@ package sensor
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"ramp/internal/core"
 	"ramp/internal/floorplan"
 	"ramp/internal/power"
+	"ramp/internal/splitmix"
 )
 
 // TempSensorSpec describes one class of on-die temperature sensor.
@@ -60,19 +60,19 @@ type TempArray struct {
 	bias  power.Vector
 	state power.Vector // filtered value; 0 = uninitialised
 	init  bool
-	rng   *rand.Rand
+	rng   splitmix.Stream
 }
 
-// NewTempArray builds a sensor bank; biases are drawn deterministically
-// from seed (each physical die has its own fixed calibration error).
+// NewTempArray builds a sensor bank; biases and read noise are drawn
+// deterministically from one splitmix stream of the mixed seed (each
+// physical die has its own fixed calibration error).
 func NewTempArray(spec TempSensorSpec, seed int64) (*TempArray, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	a := &TempArray{spec: spec, rng: rng}
+	a := &TempArray{spec: spec, rng: splitmix.NewStream(splitmix.Mix64(uint64(seed)))}
 	for i := range a.bias {
-		a.bias[i] = (2*rng.Float64() - 1) * spec.BiasK
+		a.bias[i] = (2*a.rng.Uniform() - 1) * spec.BiasK
 	}
 	return a, nil
 }
@@ -87,7 +87,7 @@ func (a *TempArray) Read(trueK power.Vector) power.Vector {
 		} else {
 			a.state[s] += a.spec.FilterAlpha * (trueK[s] - a.state[s])
 		}
-		v := a.state[s] + a.bias[s] + a.rng.NormFloat64()*a.spec.NoiseStdK
+		v := a.state[s] + a.bias[s] + splitmix.Normal(a.rng.Uniform(), a.rng.Uniform())*a.spec.NoiseStdK
 		if q := a.spec.QuantK; q > 0 {
 			v = math.Round(v/q) * q
 		}

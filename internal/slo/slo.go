@@ -1,7 +1,8 @@
 // Package slo evaluates declarative service-level objectives over
-// windowed metric deltas (internal/obs.WindowDelta) with multi-window
-// burn-rate logic — the gate rampload uses to turn a load run into a CI
-// verdict.
+// telemetry windows with multi-window burn-rate logic — the gate
+// rampload uses to turn a load run into a CI verdict. The windows are
+// the cumulative registry snapshots at their boundaries, so the change
+// over any run of consecutive windows is one Snapshot.Delta.
 //
 // An objective comes in two shapes that reduce to the same arithmetic:
 //
@@ -21,8 +22,8 @@
 // the slow window proves it is sustained, and requiring both keeps
 // one-window blips from flapping the gate):
 //
-//   - fast: burn over the last FastWindows deltas ≥ FastBurn,
-//   - slow: burn over the last SlowWindows deltas ≥ SlowBurn.
+//   - fast: burn over the last FastWindows windows ≥ FastBurn,
+//   - slow: burn over the last SlowWindows windows ≥ SlowBurn.
 //
 // Independently, exhausting the budget over the whole run (overall bad
 // fraction > budget) is always a breach — a CI load run is finite, so
@@ -157,31 +158,12 @@ func (o *Objective) badFraction(s obs.Snapshot) (bad, total float64) {
 	return bad, float64(s.Counters[o.Total])
 }
 
-// mergeTail folds the last n deltas into one snapshot view for the
-// objective: counters sum, the objective's histogram merges.
-func (o *Objective) mergeTail(deltas []obs.WindowDelta, n int) obs.Snapshot {
-	if n > len(deltas) {
-		n = len(deltas)
-	}
-	tail := deltas[len(deltas)-n:]
-	var m obs.Snapshot
-	m.Counters = make(map[string]int64)
-	var h obs.HistogramSnapshot
-	for _, d := range tail {
-		for _, name := range o.Bad {
-			m.Counters[name] += d.Delta.Counters[name]
-		}
-		if o.Total != "" {
-			m.Counters[o.Total] += d.Delta.Counters[o.Total]
-		}
-		if o.Hist != "" {
-			h = h.Merge(d.Delta.Histograms[o.Hist])
-		}
-	}
-	if o.Hist != "" {
-		m.Histograms = map[string]obs.HistogramSnapshot{o.Hist: h}
-	}
-	return m
+// tail returns the change over the last n windows (all of them when
+// fewer are retained): the newest boundary snapshot minus the one n
+// windows before it.
+func tail(windows []obs.Snapshot, n int) obs.Snapshot {
+	last := len(windows) - 1
+	return windows[last].Delta(windows[max(0, last-n)])
 }
 
 // Result is one objective's verdict.
@@ -196,7 +178,7 @@ type Result struct {
 	Burn    float64 `json:"burn"`
 
 	// FastBurn/SlowBurn are the measured tail-window burn rates;
-	// Windows is how many deltas were available.
+	// Windows is how many windows were available.
 	FastBurn float64 `json:"fast_burn"`
 	SlowBurn float64 `json:"slow_burn"`
 	Windows  int     `json:"windows"`
@@ -214,9 +196,12 @@ func burn(bad, total, budget float64) float64 {
 }
 
 // Evaluate scores every objective against the whole-run snapshot delta
-// (overall compliance) and the retained window deltas (burn gate).
-// Objectives are validated first; the first invalid one fails the call.
-func Evaluate(objs []Objective, total obs.Snapshot, deltas []obs.WindowDelta) ([]Result, error) {
+// (overall compliance) and the retained windows (burn gate): windows
+// holds the cumulative snapshots at the window boundaries, oldest
+// first, so n snapshots bound n−1 windows. Objectives are validated
+// first; the first invalid one fails the call.
+func Evaluate(objs []Objective, total obs.Snapshot, windows []obs.Snapshot) ([]Result, error) {
+	nWin := max(0, len(windows)-1)
 	results := make([]Result, 0, len(objs))
 	for i := range objs {
 		o := &objs[i]
@@ -227,16 +212,16 @@ func Evaluate(objs []Objective, total obs.Snapshot, deltas []obs.WindowDelta) ([
 		bad, n := o.badFraction(total)
 		res := Result{
 			Name: o.Name, Kind: o.Kind(), Budget: budget,
-			Events: n, Windows: len(deltas),
+			Events: n, Windows: nWin,
 		}
 		if n > 0 {
 			res.Overall = bad / n
 			res.Burn = burn(bad, n, budget)
 		}
 		fastN, slowN, fastBurn, slowBurn := o.gate()
-		if len(deltas) > 0 {
-			fb, ft := o.badFraction(o.mergeTail(deltas, fastN))
-			sb, st := o.badFraction(o.mergeTail(deltas, slowN))
+		if nWin > 0 {
+			fb, ft := o.badFraction(tail(windows, fastN))
+			sb, st := o.badFraction(tail(windows, slowN))
 			res.FastBurn = burn(fb, ft, budget)
 			res.SlowBurn = burn(sb, st, budget)
 		}
@@ -244,7 +229,7 @@ func Evaluate(objs []Objective, total obs.Snapshot, deltas []obs.WindowDelta) ([
 		case res.Overall > budget:
 			res.Breached = true
 			res.Reason = fmt.Sprintf("budget exhausted: bad fraction %.4g > %.4g", res.Overall, budget)
-		case len(deltas) >= fastN && res.FastBurn >= fastBurn && res.SlowBurn >= slowBurn:
+		case nWin >= fastN && res.FastBurn >= fastBurn && res.SlowBurn >= slowBurn:
 			res.Breached = true
 			res.Reason = fmt.Sprintf("burn rate: fast %.3g ≥ %.3g and slow %.3g ≥ %.3g",
 				res.FastBurn, fastBurn, res.SlowBurn, slowBurn)

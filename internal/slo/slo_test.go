@@ -1,52 +1,52 @@
 package slo
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"ramp/internal/obs"
 )
 
-// mkDelta builds one window delta with the given counters and an
-// optional latency histogram holding `fast` obs at 10µs and `slow` obs
-// at 10000µs.
-func mkDelta(seq int64, counters map[string]int64, fast, slow int64) obs.WindowDelta {
-	d := obs.WindowDelta{
-		Seq:   seq,
-		Start: time.Unix(seq, 0),
-		End:   time.Unix(seq+1, 0),
-	}
-	d.Delta.Counters = counters
-	if fast+slow > 0 {
-		reg := obs.NewRegistry()
-		rh := reg.Histogram("lat")
-		for i := int64(0); i < fast; i++ {
-			rh.Observe(10)
-		}
-		for i := int64(0); i < slow; i++ {
-			rh.Observe(10000)
-		}
-		d.Delta.Histograms = reg.Snapshot().Histograms
-	}
-	return d
+// window is one window's traffic: counter increments plus `fast`
+// latency observations at 10µs and `slow` ones at 10000µs.
+type window struct {
+	counters   map[string]int64
+	fast, slow int64
 }
 
-// sum builds the whole-run snapshot from deltas (counters add,
-// histograms merge).
-func sum(deltas []obs.WindowDelta) obs.Snapshot {
-	var total obs.Snapshot
-	total.Counters = map[string]int64{}
-	var lat obs.HistogramSnapshot
-	for _, d := range deltas {
-		for k, v := range d.Delta.Counters {
-			total.Counters[k] += v
+// replay runs the windows through one fresh registry and returns the
+// whole-run snapshot and the cumulative snapshot at every window
+// boundary, the run-start baseline first — what a load.Runner hands
+// Evaluate.
+func replay(ws []window) (total obs.Snapshot, bounds []obs.Snapshot) {
+	reg := obs.NewRegistry()
+	bounds = append(bounds, reg.Snapshot())
+	for _, w := range ws {
+		for name, n := range w.counters {
+			reg.Counter(name).Add(n)
 		}
-		lat = lat.Merge(d.Delta.Histograms["lat"])
+		for i := int64(0); i < w.fast; i++ {
+			reg.Histogram("lat").Observe(10)
+		}
+		for i := int64(0); i < w.slow; i++ {
+			reg.Histogram("lat").Observe(10000)
+		}
+		bounds = append(bounds, reg.Snapshot())
 	}
-	total.Histograms = map[string]obs.HistogramSnapshot{"lat": lat}
-	return total
+	return reg.Snapshot(), bounds
+}
+
+// repeat returns n copies of w.
+func repeat(n int, w window) []window {
+	ws := make([]window, n)
+	for i := range ws {
+		ws[i] = w
+	}
+	return ws
 }
 
 func rateObj() Objective {
@@ -57,11 +57,8 @@ func rateObj() Objective {
 }
 
 func TestRateObjectiveCompliant(t *testing.T) {
-	var deltas []obs.WindowDelta
-	for i := int64(0); i < 6; i++ {
-		deltas = append(deltas, mkDelta(i, map[string]int64{"reqs": 100, "shed": 1}, 0, 0))
-	}
-	res, err := Evaluate([]Objective{rateObj()}, sum(deltas), deltas)
+	total, windows := replay(repeat(6, window{counters: map[string]int64{"reqs": 100, "shed": 1}}))
+	res, err := Evaluate([]Objective{rateObj()}, total, windows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +75,8 @@ func TestRateObjectiveCompliant(t *testing.T) {
 }
 
 func TestRateObjectiveBudgetExhausted(t *testing.T) {
-	deltas := []obs.WindowDelta{mkDelta(0, map[string]int64{"reqs": 100, "shed": 20}, 0, 0)}
-	res, err := Evaluate([]Objective{rateObj()}, sum(deltas), deltas)
+	total, windows := replay([]window{{counters: map[string]int64{"reqs": 100, "shed": 20}}})
+	res, err := Evaluate([]Objective{rateObj()}, total, windows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,17 +94,12 @@ func TestBurnGateNeedsBothWindows(t *testing.T) {
 	// 10 quiet windows, 2 spiking ones at the end: fast burn is huge,
 	// slow burn (last 4: 2 quiet + 2 spike = 160/400 = 40% → burn 8)...
 	// use a longer quiet tail so the slow window stays under its 2×.
-	var deltas []obs.WindowDelta
-	for i := int64(0); i < 2; i++ {
-		deltas = append(deltas, mkDelta(i, spike, 0, 0))
-	}
-	for i := int64(2); i < 12; i++ {
-		deltas = append(deltas, mkDelta(i, quiet, 0, 0))
-	}
+	ws := append(repeat(2, window{counters: spike}), repeat(10, window{counters: quiet})...)
 	// Spikes at the START: the fast window (last 2) is quiet now.
 	o := rateObj()
 	o.MaxRatio = 0.2 // keep the overall 160/1200 ≈ 13% inside budget
-	res, err := Evaluate([]Objective{o}, sum(deltas), deltas)
+	total, windows := replay(ws)
+	res, err := Evaluate([]Objective{o}, total, windows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,15 +109,12 @@ func TestBurnGateNeedsBothWindows(t *testing.T) {
 
 	// Sustained: every window sheds 80% → both windows burn 4× over a
 	// 20% budget with FastBurn=3, SlowBurn=2.
-	var hot []obs.WindowDelta
-	for i := int64(0); i < 6; i++ {
-		hot = append(hot, mkDelta(i, spike, 0, 0))
-	}
 	o2 := rateObj()
 	o2.MaxRatio = 0.9 // overall 80% < 90%: compliance alone won't trip
 	o2.FastBurn = 0.8 // measured burn is 0.8/0.9 ≈ 0.889 on both windows
 	o2.SlowBurn = 0.8
-	res, err = Evaluate([]Objective{o2}, sum(hot), hot)
+	total, windows = replay(repeat(6, window{counters: spike}))
+	res, err = Evaluate([]Objective{o2}, total, windows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +126,9 @@ func TestBurnGateNeedsBothWindows(t *testing.T) {
 func TestLatencyObjective(t *testing.T) {
 	// 99 fast (10µs) + 1 slow (10000µs) per window: p99 sits right at
 	// the boundary; with a 1000µs bound exactly 1% of events are bad.
-	var deltas []obs.WindowDelta
-	for i := int64(0); i < 4; i++ {
-		deltas = append(deltas, mkDelta(i, map[string]int64{"reqs": 100}, 99, 1))
-	}
+	total, windows := replay(repeat(4, window{counters: map[string]int64{"reqs": 100}, fast: 99, slow: 1}))
 	o := Objective{Name: "p95-lat", Hist: "lat", P: 0.95, MaxUS: 1000}
-	res, err := Evaluate([]Objective{o}, sum(deltas), deltas)
+	res, err := Evaluate([]Objective{o}, total, windows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +149,8 @@ func TestLatencyObjective(t *testing.T) {
 	// Tighten the quantile to p99 with the same traffic: exactly at
 	// budget, not over — still compliant. Then make half the traffic
 	// slow: breach.
-	bad := []obs.WindowDelta{mkDelta(0, map[string]int64{"reqs": 100}, 50, 50)}
-	res, err = Evaluate([]Objective{o}, sum(bad), bad)
+	total, windows = replay([]window{{counters: map[string]int64{"reqs": 100}, fast: 50, slow: 50}})
+	res, err = Evaluate([]Objective{o}, total, windows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,5 +224,78 @@ func TestBreachedAndTable(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "BREACH") || !strings.Contains(out, "why") {
 		t.Errorf("table missing verdict:\n%s", out)
+	}
+}
+
+// TestTailIsOneSubtraction is the three-window case a fold of
+// per-window deltas got wrong: windows observing 0, 5 and 3 µs. Folding
+// them bucket by bucket gave {1:1, 4:3} (all three samples ≤ 4 µs, p50
+// 2.5, nothing above 4.5 µs); the tail is the newest boundary minus the
+// baseline.
+func TestTailIsOneSubtraction(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := reg.Histogram("lat")
+	windows := []obs.Snapshot{reg.Snapshot()}
+	for _, us := range []int64{0, 5, 3} {
+		h.Observe(us)
+		windows = append(windows, reg.Snapshot())
+	}
+	got := tail(windows, 3).Histograms["lat"]
+	want := obs.HistogramSnapshot{Count: 3, Sum: 8, Buckets: map[string]int64{"1": 1, "2": 1, "4": 2, "8": 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tail over three windows = %+v, want %+v", got, want)
+	}
+	if p50 := got.Quantile(0.5); p50 != 3 {
+		t.Errorf("tail p50 = %v, want 3", p50)
+	}
+	if f := got.FractionAbove(4.5); math.Abs(f-0.2917) > 1e-4 {
+		t.Errorf("tail fraction above 4.5 µs = %v, want 0.2917", f)
+	}
+	// Asking for more windows than exist reads from the baseline.
+	if long := tail(windows, 30).Histograms["lat"]; !reflect.DeepEqual(long, want) {
+		t.Errorf("tail over 30 of 3 windows = %+v, want %+v", long, want)
+	}
+}
+
+// TestTailsOverEveryWindowMatchWholeRun: when an objective's fast and
+// slow windows cover the whole run, their burn rates are the whole-run
+// burn bit for bit. Sparse runs (3–30 windows of 0–2 latency samples
+// each) are where folding per-window histograms went wrong.
+func TestTailsOverEveryWindowMatchWholeRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for run := 0; run < 200; run++ {
+		reg := obs.NewRegistry()
+		lat := reg.Histogram("lat")
+		reqs, shed := reg.Counter("reqs"), reg.Counter("shed")
+		windows := []obs.Snapshot{reg.Snapshot()}
+		nWin := 3 + rng.Intn(28)
+		for w := 0; w < nWin; w++ {
+			for n := rng.Intn(3); n > 0; n-- {
+				lat.Observe(rng.Int63n(int64(1) << rng.Intn(12)))
+			}
+			sent := rng.Int63n(3)
+			reqs.Add(sent)
+			shed.Add(rng.Int63n(sent + 1))
+			windows = append(windows, reg.Snapshot())
+		}
+		objs := []Objective{
+			{Name: "lat", Hist: "lat", P: []float64{0.5, 0.9, 0.99}[rng.Intn(3)], MaxUS: float64(1 + rng.Intn(1000)),
+				FastWindows: nWin, SlowWindows: nWin + rng.Intn(5)},
+			{Name: "shed", Bad: []string{"shed"}, Total: "reqs", MaxRatio: 0.05,
+				FastWindows: nWin, SlowWindows: nWin + rng.Intn(5)},
+		}
+		res, err := Evaluate(objs, reg.Snapshot(), windows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res {
+			label := fmt.Sprintf("run %d (%d windows) %s", run, nWin, r.Name)
+			if r.Windows != nWin {
+				t.Fatalf("%s: Windows = %d, want %d", label, r.Windows, nWin)
+			}
+			if math.Float64bits(r.FastBurn) != math.Float64bits(r.Burn) || math.Float64bits(r.SlowBurn) != math.Float64bits(r.Burn) {
+				t.Fatalf("%s: fast %v and slow %v burn over every window, whole-run burn %v", label, r.FastBurn, r.SlowBurn, r.Burn)
+			}
+		}
 	}
 }

@@ -5,9 +5,14 @@
 // A stream is a pure function of its starting state, so callers derive
 // independent, reproducible substreams by mixing their own seed, salt
 // and index into that state (internal/fleet per chip, internal/load per
-// run); adding a draw to one substream never perturbs another. The
-// seeddet lint forbids time-seeded math/rand, which this replaces.
+// run, internal/sensor per die); adding a draw to one substream never
+// perturbs another. The seeddet lint forbids time-seeded math/rand,
+// which this replaces everywhere but the trace generator:
+// internal/trace keeps its seeded math/rand draws, because every golden
+// pins them.
 package splitmix
+
+import "math"
 
 // Golden is the stream increment, 2^64/φ.
 const Golden = 0x9e3779b97f4a7c15
@@ -44,4 +49,11 @@ func (r *Stream) Uniform() float64 {
 // Intn returns a draw in [0, n); n must be positive.
 func (r *Stream) Intn(n int) int {
 	return int(r.Next() % uint64(n))
+}
+
+// Normal returns the standard normal of the uniforms u1, u2 (Box-Muller,
+// cosine branch). Every draw takes exactly two uniforms, so draw counts
+// stay static.
+func Normal(u1, u2 float64) float64 {
+	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }

@@ -7,7 +7,8 @@
 #      body would show up here);
 #   2. a short deterministic burst against a quick-mode rampserve with
 #      the built-in (generous) objectives must exit 0, reconcile client
-#      counts against the server's /metrics and report lateness;
+#      counts against the server's /metrics, report lateness and gate
+#      on as many windows as it streamed frames;
 #   3. an impossible objectives file against the same server must make
 #      rampload exit exactly 3 — the CI-visible SLO-breach code;
 #   4. the metrics stream: one curl'd NDJSON frame with a request_id,
@@ -98,6 +99,17 @@ if grep -q '"dropped"' "${logdir}/load.json"; then
 fi
 # Windows streamed: at least one NDJSON frame with a latency estimate.
 grep -q '"p50_us"' "${logdir}/frames.ndjson"
+# The SLO gate judged the windows the frames report: each objective's
+# window count equals the number of NDJSON frames.
+frames=$(wc -l <"${logdir}/frames.ndjson")
+counts=$(grep -o '"windows": [0-9][0-9]*' "${logdir}/load.json" | sed 's/.* //')
+[ -n "${counts}" ] || { echo "FAIL: load.json carries no SLO window counts" >&2; exit 1; }
+for n in ${counts}; do
+	if [ "${n}" -ne "${frames}" ]; then
+		echo "FAIL: an SLO objective saw ${n} windows, frames.ndjson has ${frames}" >&2
+		exit 1
+	fi
+done
 
 step "gate: impossible objectives make rampload exit 3"
 cat >"${logdir}/impossible.json" <<'EOF'
