@@ -258,8 +258,12 @@ func checkReads(t *testing.T, label string, h HistogramSnapshot, ps, vs []float6
 // and perfbench-style deltas that keep zero-count leading keys.
 func TestHistogramMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
+	trials := 250
+	if testing.Short() {
+		trials = 50 // the race lane
+	}
 	zeroKeys := 0 // perfbench-style deltas with a zero-count key
-	for trial := 0; trial < 250; trial++ {
+	for trial := 0; trial < trials; trial++ {
 		h := &Histogram{}
 		snaps := []HistogramSnapshot{h.snapshot()}
 		for k := 0; k < 4; k++ {
